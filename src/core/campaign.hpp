@@ -46,7 +46,6 @@ using pipeline::StageBudget;
 using pipeline::StageBudgets;
 using pipeline::StageReport;
 using pipeline::TestMethod;
-using pipeline::timings_from_spans;
 
 /// Runs a full campaign against each bug in `bugs` (plus a clean run).
 /// Thin assembly of pipeline::ValidationPipeline.

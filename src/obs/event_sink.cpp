@@ -36,37 +36,6 @@ EventSink& null_sink() {
 }
 
 // ---------------------------------------------------------------------------
-// SpanRecorder
-// ---------------------------------------------------------------------------
-
-void SpanRecorder::span(Stage stage, double seconds) {
-  std::lock_guard lock(mutex_);
-  seconds_[static_cast<std::size_t>(stage)] += seconds;
-}
-
-void SpanRecorder::status(Stage stage, StageStatus status) {
-  std::lock_guard lock(mutex_);
-  status_[static_cast<std::size_t>(stage)] = status;
-}
-
-double SpanRecorder::seconds(Stage stage) const {
-  std::lock_guard lock(mutex_);
-  return seconds_[static_cast<std::size_t>(stage)];
-}
-
-double SpanRecorder::total_seconds() const {
-  std::lock_guard lock(mutex_);
-  double total = 0.0;
-  for (const double s : seconds_) total += s;
-  return total;
-}
-
-StageStatus SpanRecorder::stage_status(Stage stage) const {
-  std::lock_guard lock(mutex_);
-  return status_[static_cast<std::size_t>(stage)];
-}
-
-// ---------------------------------------------------------------------------
 // MultiSink
 // ---------------------------------------------------------------------------
 
@@ -80,42 +49,6 @@ void MultiSink::add(EventSink* sink) {
 
 void MultiSink::span(Stage stage, double seconds) {
   for (EventSink* sink : sinks_) sink->span(stage, seconds);
-}
-
-void CounterRecorder::counter(Stage stage, std::string_view name,
-                              std::uint64_t value) {
-  (void)stage;
-  std::lock_guard lock(mutex_);
-  const auto it = counts_.find(name);
-  if (it != counts_.end()) {
-    it->second += value;
-  } else {
-    counts_.emplace(std::string(name), value);
-  }
-}
-
-void CounterRecorder::gauge(Stage stage, std::string_view name,
-                            std::uint64_t value) {
-  (void)stage;
-  std::lock_guard lock(mutex_);
-  const auto it = gauges_.find(name);
-  if (it != gauges_.end()) {
-    if (value > it->second) it->second = value;
-  } else {
-    gauges_.emplace(std::string(name), value);
-  }
-}
-
-std::uint64_t CounterRecorder::value(std::string_view name) const {
-  std::lock_guard lock(mutex_);
-  const auto it = counts_.find(name);
-  return it == counts_.end() ? 0 : it->second;
-}
-
-std::uint64_t CounterRecorder::gauge_value(std::string_view name) const {
-  std::lock_guard lock(mutex_);
-  const auto it = gauges_.find(name);
-  return it == gauges_.end() ? 0 : it->second;
 }
 
 void MultiSink::counter(Stage stage, std::string_view name,

@@ -21,20 +21,18 @@
 //     threads concurrently.
 //   * status(stage, status):  how the stage ended (ok / budget / cancelled).
 //
-// SpanRecorder folds spans back into the legacy PhaseTimings view;
-// CounterRecorder aggregates counters (summed) and gauges (max);
-// MetricsRegistry (obs/metrics.hpp) turns the full event flow into
-// counters and latency histograms; JsonlTraceSink streams every event as
-// one JSON object per line (the bench binaries' --trace output);
+// MetricsRegistry (obs/metrics.hpp) folds the event flow into counters,
+// gauges and histograms; it is the one aggregator, and each pipeline run
+// reads its stage timings, stage reports and budget deadlines from a
+// private one. JsonlTraceSink streams every event as one JSON object per
+// line (the bench binaries' --trace output);
 // PerfettoTraceSink (obs/exporters.hpp) writes Chrome trace-event JSON;
 // MultiSink fans out to any combination.
 #pragma once
 
-#include <array>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
-#include <map>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -110,48 +108,6 @@ class EventSink {
 
 /// Shared do-nothing sink: lets stages call `sink.span(...)` unconditionally.
 [[nodiscard]] EventSink& null_sink();
-
-/// Accumulates per-stage span seconds and final statuses — the source the
-/// legacy PhaseTimings view is computed from (pipeline::timings_from_spans).
-class SpanRecorder final : public EventSink {
- public:
-  void span(Stage stage, double seconds) override;
-  void status(Stage stage, StageStatus status) override;
-
-  /// Accumulated seconds of one stage.
-  [[nodiscard]] double seconds(Stage stage) const;
-  /// Sum over every stage — the pipeline's total instrumented time.
-  [[nodiscard]] double total_seconds() const;
-  [[nodiscard]] StageStatus stage_status(Stage stage) const;
-
- private:
-  mutable std::mutex mutex_;
-  std::array<double, kStageCount> seconds_{};
-  std::array<StageStatus, kStageCount> status_{};
-};
-
-/// Accumulates counter events by name (summed across stages and emissions)
-/// and gauge events by name (max over emissions). The split makes summed
-/// counters correct by construction: event-per-occurrence quantities
-/// (`store.hit`, `checkpoint.write`, …) arrive as counters, level
-/// snapshots (`sequences_in_flight_peak`) as gauges. Thread-safe.
-class CounterRecorder final : public EventSink {
- public:
-  void counter(Stage stage, std::string_view name,
-               std::uint64_t value) override;
-  void gauge(Stage stage, std::string_view name,
-             std::uint64_t value) override;
-
-  /// Total accumulated value of a counter name (0 when never emitted).
-  [[nodiscard]] std::uint64_t value(std::string_view name) const;
-  /// Maximum emitted value of a gauge name (0 when never emitted).
-  [[nodiscard]] std::uint64_t gauge_value(std::string_view name) const;
-
- private:
-  mutable std::mutex mutex_;
-  std::map<std::string, std::uint64_t, std::less<>> counts_;
-  std::map<std::string, std::uint64_t, std::less<>> gauges_;
-};
 
 /// Forwards every event to each registered sink, in order.
 class MultiSink final : public EventSink {

@@ -58,6 +58,13 @@ std::uint64_t histogram_bucket_upper_bound(std::size_t index) {
   return (std::uint64_t{1} << index) - 1;
 }
 
+std::uint64_t span_ns(const MetricsSummary& summary, Stage stage) {
+  for (const auto& h : summary.histograms) {
+    if (h.stage == stage && h.name == "span_ns") return h.value.sum;
+  }
+  return 0;
+}
+
 // ---------------------------------------------------------------------------
 // EventSink mapping
 // ---------------------------------------------------------------------------

@@ -78,6 +78,11 @@ struct MetricsSummary {
   std::vector<MetricEntry<HistogramSummary>> histograms;
 };
 
+/// Accumulated span time of one stage in a summary, in nanoseconds: the sum
+/// of its "span_ns" histogram (0 when the stage emitted no span).
+[[nodiscard]] std::uint64_t span_ns(const MetricsSummary& summary,
+                                    Stage stage);
+
 /// Thread-safe metrics aggregation: attach it to a campaign (alone or via
 /// MultiSink) and read summary() when the campaign returns.
 class MetricsRegistry final : public EventSink {

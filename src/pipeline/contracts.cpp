@@ -15,19 +15,44 @@ const char* method_name(TestMethod method) {
   return "?";
 }
 
-PhaseTimings timings_from_spans(const obs::SpanRecorder& spans) {
+namespace {
+
+double to_seconds(std::uint64_t ns) { return static_cast<double>(ns) / 1e9; }
+
+bool any_status(const std::vector<StageReport>& reports,
+                obs::StageStatus status) {
+  for (const auto& r : reports) {
+    if (r.status == status) return true;
+  }
+  return false;
+}
+
+}  // namespace
+
+double span_seconds(const obs::MetricsSummary& metrics, obs::Stage stage) {
+  return to_seconds(obs::span_ns(metrics, stage));
+}
+
+PhaseTimings timings_from_spans(const obs::MetricsSummary& metrics) {
+  const auto ns = [&](obs::Stage stage) {
+    return obs::span_ns(metrics, stage);
+  };
   PhaseTimings t;
-  t.model_build_seconds = spans.seconds(obs::Stage::kModelBuild);
-  t.symbolic_seconds = spans.seconds(obs::Stage::kSymbolic);
-  t.tour_seconds = spans.seconds(obs::Stage::kTour);
-  t.concretize_seconds = spans.seconds(obs::Stage::kConcretize);
-  t.simulate_seconds = spans.seconds(obs::Stage::kSimulate) +
-                       spans.seconds(obs::Stage::kCompare) +
-                       spans.seconds(obs::Stage::kMutantReplay);
-  t.total_seconds = spans.total_seconds();
+  t.model_build_seconds = to_seconds(ns(obs::Stage::kModelBuild));
+  t.symbolic_seconds = to_seconds(ns(obs::Stage::kSymbolic));
+  t.tour_seconds = to_seconds(ns(obs::Stage::kTour));
+  t.concretize_seconds = to_seconds(ns(obs::Stage::kConcretize));
+  t.simulate_seconds = to_seconds(ns(obs::Stage::kSimulate) +
+                                  ns(obs::Stage::kCompare) +
+                                  ns(obs::Stage::kMutantReplay));
+  std::uint64_t total_ns = 0;
+  for (std::size_t s = 0; s < obs::kStageCount; ++s) {
+    total_ns += ns(static_cast<obs::Stage>(s));
+  }
+  t.total_seconds = to_seconds(total_ns);
   // Every stage must fold into one of the five phase fields; a stage the
   // mapping dropped would make the total exceed the phase sum. Tolerance
-  // only covers the differing floating-point summation order.
+  // only covers rounding the per-phase nanosecond sums to seconds.
   assert(std::abs(t.total_seconds - t.phase_sum()) <=
          1e-9 * std::fmax(1.0, std::fabs(t.total_seconds)));
   return t;
@@ -47,18 +72,6 @@ std::uint64_t CampaignResult::total_impl_cycles() const {
   for (const auto& e : exposures) n += e.impl_cycles;
   return n;
 }
-
-namespace {
-
-bool any_status(const std::vector<StageReport>& reports,
-                obs::StageStatus status) {
-  for (const auto& r : reports) {
-    if (r.status == status) return true;
-  }
-  return false;
-}
-
-}  // namespace
 
 bool CampaignResult::budget_exhausted() const {
   return any_status(stage_reports, obs::StageStatus::kBudgetExhausted);

@@ -16,7 +16,9 @@
 //  * StageReport — how each stage ended (status, items, seconds), carried
 //    on the results next to the legacy PhaseTimings view.
 //  * timings_from_spans — PhaseTimings is no longer accumulated by hand;
-//    it is a projection of the obs::SpanRecorder's per-stage spans.
+//    it is a projection of the per-stage "span_ns" histograms in the
+//    summary of the run's own obs::MetricsRegistry, the same source as
+//    StageReport::seconds and the budget deadlines.
 #pragma once
 
 #include <atomic>
@@ -83,11 +85,18 @@ struct PhaseTimings {
   }
 };
 
-/// Projects the per-stage span accumulation onto the legacy PhaseTimings
-/// view: simulate/compare/mutant-replay fold into simulate_seconds, and
-/// total_seconds is the sum over every stage (asserted equal to
-/// phase_sum(), i.e. the mapping drops no stage).
-[[nodiscard]] PhaseTimings timings_from_spans(const obs::SpanRecorder& spans);
+/// Accumulated span seconds of one stage in a run's metrics summary (its
+/// "span_ns" histogram sum) — the value StageReport::seconds carries and
+/// StageBudget::deadline_seconds is checked against.
+[[nodiscard]] double span_seconds(const obs::MetricsSummary& metrics,
+                                  obs::Stage stage);
+
+/// Projects the per-stage span_ns sums of a run's metrics summary onto the
+/// legacy PhaseTimings view: simulate/compare/mutant-replay fold into
+/// simulate_seconds, and total_seconds is the sum over every stage
+/// (asserted equal to phase_sum(), i.e. the mapping drops no stage).
+[[nodiscard]] PhaseTimings timings_from_spans(
+    const obs::MetricsSummary& metrics);
 
 /// Deadline / item-count budget of one stage. Unset fields are unlimited.
 /// An exhausted budget truncates the stream at a sequence boundary — the
@@ -132,7 +141,7 @@ struct StageReport {
   obs::Stage stage = obs::Stage::kModelBuild;
   obs::StageStatus status = obs::StageStatus::kOk;
   std::size_t items = 0;   ///< units processed (see StageBudget::max_items)
-  double seconds = 0.0;    ///< accumulated span time
+  double seconds = 0.0;    ///< accumulated span time (span_seconds)
 };
 
 /// Telemetry of one spec-vs-impl simulation run (one test-set program).
@@ -176,8 +185,8 @@ struct CampaignOptions {
 
   // ---- Pipeline knobs (defaults reproduce the pre-pipeline behaviour) ----
   /// Instrumentation sink for spans / counters / item events (nullptr: no
-  /// external instrumentation; the pipeline still records spans internally
-  /// for PhaseTimings).
+  /// external instrumentation; the pipeline still folds every event into
+  /// its own per-run registry for PhaseTimings and StageReport).
   obs::EventSink* sink = nullptr;
   /// Cooperative cancellation; observed between batches and inside the
   /// ThreadPool shards. A cancelled campaign returns truncated results

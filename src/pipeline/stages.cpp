@@ -541,9 +541,11 @@ std::vector<BugExposure> CompareStage::run(
 MutantCoverageResult MutantReplayStage::run(
     const fsm::MealyMachine& machine, fsm::StateId start,
     const MutantCoverageOptions& options) {
-  obs::SpanRecorder recorder;
+  // The run's own registry, the source of the result's timings and stage
+  // seconds (see ValidationPipeline::run).
+  obs::MetricsRegistry run_metrics;
   obs::MultiSink sink;
-  sink.add(&recorder);
+  sink.add(&run_metrics);
   sink.add(options.sink);
 
   MutantCoverageResult result;
@@ -625,14 +627,17 @@ MutantCoverageResult MutantReplayStage::run(
               }
               active &= ~hit;
             }
+            // A mutant's latency is the shared block walk plus its own
+            // equivalence check, as on the scalar path.
             const double block_seconds = seconds_since(t0);
             for (std::size_t l = 0; l < len; ++l) {
+              const auto check_start = std::chrono::steady_clock::now();
               Verdict& v = verdicts[base + l];
               if (!v.exposed && options.exclude_equivalent) {
                 v.equivalent = check_equivalent(mutants[base + l]);
               }
               sink.latency(obs::Stage::kMutantReplay, "mutant", base + l,
-                           block_seconds);
+                           block_seconds + seconds_since(check_start));
             }
           },
           options.cancel.raw(), &queue_wait);
@@ -680,21 +685,21 @@ MutantCoverageResult MutantReplayStage::run(
       }
     }
   }
-  const bool cancelled = options.cancel.cancelled();
-  sink.status(obs::Stage::kMutantReplay,
-              cancelled ? obs::StageStatus::kCancelled
-                        : obs::StageStatus::kOk);
+  const auto replay_status = options.cancel.cancelled()
+                                 ? obs::StageStatus::kCancelled
+                                 : obs::StageStatus::kOk;
+  sink.status(obs::Stage::kMutantReplay, replay_status);
   sink.counter(obs::Stage::kMutantReplay, "mutants_sampled", sampled);
   sink.counter(obs::Stage::kMutantReplay, "mutants_exposed", result.exposed);
 
-  result.timings = timings_from_spans(recorder);
+  const obs::MetricsSummary run_summary = run_metrics.summary();
+  result.timings = timings_from_spans(run_summary);
   result.stage_reports.push_back(
-      StageReport{obs::Stage::kTour, recorder.stage_status(obs::Stage::kTour),
-                  result.sequences, recorder.seconds(obs::Stage::kTour)});
-  result.stage_reports.push_back(StageReport{
-      obs::Stage::kMutantReplay,
-      recorder.stage_status(obs::Stage::kMutantReplay), sampled,
-      recorder.seconds(obs::Stage::kMutantReplay)});
+      StageReport{obs::Stage::kTour, obs::StageStatus::kOk, result.sequences,
+                  span_seconds(run_summary, obs::Stage::kTour)});
+  result.stage_reports.push_back(
+      StageReport{obs::Stage::kMutantReplay, replay_status, sampled,
+                  span_seconds(run_summary, obs::Stage::kMutantReplay)});
   return result;
 }
 

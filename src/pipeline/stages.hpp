@@ -89,10 +89,6 @@ struct GenerateStage {
       store::ArtifactStore* store, const store::Fingerprint& key);
 };
 
-/// Pre-generator-layer name for GenerateStage — tours are one strategy
-/// behind the seam now.
-using TourStage = GenerateStage;
-
 /// Concretizes one batch of tour sequences into DLX programs, sharded over
 /// the pool. `out` must be pre-sized to the batch; a cancelled batch leaves
 /// unclaimed slots default-initialized (the executor drops the batch).
@@ -154,7 +150,12 @@ struct CompareStage {
 /// The Theorem-3 evaluator: generates the method's test set on the machine
 /// level, samples output/transfer mutants and replays each against the
 /// set. kTour span for generation, kMutantReplay span for sampling+replay
-/// (folded into simulate_seconds by timings_from_spans).
+/// (folded into simulate_seconds by timings_from_spans). Like
+/// ValidationPipeline::run it folds its events into a private per-run
+/// obs::MetricsRegistry, the source of the result's timings and stage
+/// seconds; statuses come from the cancellation token. Each mutant's
+/// "mutant" latency covers its replay and its equivalence check, on the
+/// packed path as on the scalar one.
 struct MutantReplayStage {
   static MutantCoverageResult run(const fsm::MealyMachine& machine,
                                   fsm::StateId start,

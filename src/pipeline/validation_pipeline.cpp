@@ -23,10 +23,11 @@ namespace simcov::pipeline {
 namespace {
 
 /// True when the stage's accumulated span time has passed its deadline.
-bool past_deadline(const StageBudget& budget, const obs::SpanRecorder& spans,
-                   obs::Stage stage) {
+bool past_deadline(const StageBudget& budget,
+                   const obs::MetricsRegistry& run_metrics, obs::Stage stage) {
   return budget.deadline_seconds.has_value() &&
-         spans.seconds(stage) >= *budget.deadline_seconds;
+         span_seconds(run_metrics.summary(), stage) >=
+             *budget.deadline_seconds;
 }
 
 /// True when the stage has processed its item cap.
@@ -61,9 +62,14 @@ struct MonitorGuard {
 
 CampaignResult ValidationPipeline::run(
     std::span<const dlx::PipelineBug> bugs) {
-  obs::SpanRecorder recorder;
+  // The run's own registry: every per-stage second of the result —
+  // PhaseTimings, StageReport::seconds and the budget deadlines — is read
+  // from its span_ns histograms. It is private to the run because the
+  // caller-owned registries (options_.metrics, the monitor's) may span
+  // several campaigns.
+  obs::MetricsRegistry run_metrics;
   obs::MultiSink sink;
-  sink.add(&recorder);
+  sink.add(&run_metrics);
   sink.add(options_.sink);
   sink.add(options_.metrics);
   // The live monitor's private registry rides the same fan-out; it never
@@ -174,19 +180,19 @@ CampaignResult ValidationPipeline::run(
       break;
     }
     if (items_exhausted(options_.budgets.tour, yielded) ||
-        past_deadline(options_.budgets.tour, recorder, obs::Stage::kTour)) {
+        past_deadline(options_.budgets.tour, run_metrics, obs::Stage::kTour)) {
       tour_status = obs::StageStatus::kBudgetExhausted;
       break;
     }
     if (items_exhausted(options_.budgets.concretize, programs.size()) ||
-        past_deadline(options_.budgets.concretize, recorder,
+        past_deadline(options_.budgets.concretize, run_metrics,
                       obs::Stage::kConcretize)) {
       concretize_status = obs::StageStatus::kBudgetExhausted;
       break;
     }
     if (items_exhausted(options_.budgets.simulate,
                         result.clean_runs.size()) ||
-        past_deadline(options_.budgets.simulate, recorder,
+        past_deadline(options_.budgets.simulate, run_metrics,
                       obs::Stage::kSimulate)) {
       simulate_status = obs::StageStatus::kBudgetExhausted;
       break;
@@ -393,7 +399,7 @@ CampaignResult ValidationPipeline::run(
       result.exposures.clear();
       bugs_compared = 0;
       compare_status = obs::StageStatus::kCancelled;
-    } else if (past_deadline(options_.budgets.compare, recorder,
+    } else if (past_deadline(options_.budgets.compare, run_metrics,
                              obs::Stage::kCompare)) {
       // The compare pool is one indivisible shard pass; its deadline is
       // reported post-hoc rather than truncating mid-bug.
@@ -432,7 +438,10 @@ CampaignResult ValidationPipeline::run(
     if (e.budget_exhausted) ++result.runs_inconclusive;
   }
 
-  result.timings = timings_from_spans(recorder);
+  // Every span of the run has been emitted by now: one snapshot feeds both
+  // the timings view and the stage reports below.
+  const obs::MetricsSummary run_summary = run_metrics.summary();
+  result.timings = timings_from_spans(run_summary);
 
   // Store-backed performance baseline: compare this run's phase timings
   // against the summary archived under the same campaign fingerprint,
@@ -482,17 +491,17 @@ CampaignResult ValidationPipeline::run(
   const bool symbolic_ran =
       options_.collect_symbolic_stats ||
       result.backend == model::Backend::kSymbolic;
-  auto report = [&](obs::Stage stage, std::size_t items) {
-    result.stage_reports.push_back(StageReport{
-        stage, recorder.stage_status(stage), items,
-        recorder.seconds(stage)});
+  auto report = [&](obs::Stage stage, obs::StageStatus status,
+                    std::size_t items) {
+    result.stage_reports.push_back(
+        StageReport{stage, status, items, span_seconds(run_summary, stage)});
   };
-  report(obs::Stage::kModelBuild, 1);
-  if (symbolic_ran) report(obs::Stage::kSymbolic, 1);
-  report(obs::Stage::kTour, yielded);
-  report(obs::Stage::kConcretize, programs.size());
-  report(obs::Stage::kSimulate, result.clean_runs.size());
-  report(obs::Stage::kCompare, bugs_compared);
+  report(obs::Stage::kModelBuild, obs::StageStatus::kOk, 1);
+  if (symbolic_ran) report(obs::Stage::kSymbolic, obs::StageStatus::kOk, 1);
+  report(obs::Stage::kTour, tour_status, yielded);
+  report(obs::Stage::kConcretize, concretize_status, programs.size());
+  report(obs::Stage::kSimulate, simulate_status, result.clean_runs.size());
+  report(obs::Stage::kCompare, compare_status, bugs_compared);
 
   if (telemetry.has_value() && options_.collect_coverage_telemetry) {
     auto t = telemetry->snapshot();

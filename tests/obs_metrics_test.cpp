@@ -1,8 +1,7 @@
 // Tests for the observability subsystem: the log2 histogram bucket scheme,
-// MetricsRegistry's event -> metric folding, CounterRecorder gauge (max)
-// semantics, the JSONL sink's flush boundaries, the coverage-telemetry
-// curve builder and collector, and the Perfetto / Prometheus exporters'
-// output formats.
+// MetricsRegistry's event -> metric folding, the JSONL sink's flush
+// boundaries, the coverage-telemetry curve builder and collector, and the
+// Perfetto / Prometheus exporters' output formats.
 #include "obs/coverage_telemetry.hpp"
 #include "obs/event_sink.hpp"
 #include "obs/exporters.hpp"
@@ -222,18 +221,8 @@ TEST(MetricsRegistry, SnapshotWhileFoldingIsSafeAndMonotonic) {
 }
 
 // ---------------------------------------------------------------------------
-// CounterRecorder gauge semantics + JSONL flush
+// JSONL flush
 // ---------------------------------------------------------------------------
-
-TEST(CounterRecorder, GaugeKeepsTheMaxAcrossEmissions) {
-  obs::CounterRecorder rec;
-  rec.gauge(obs::Stage::kTour, "peak", 3);
-  rec.gauge(obs::Stage::kTour, "peak", 9);
-  rec.gauge(obs::Stage::kTour, "peak", 5);
-  EXPECT_EQ(rec.gauge_value("peak"), 9u);
-  EXPECT_EQ(rec.value("peak"), 0u) << "gauges must not leak into counters";
-  EXPECT_EQ(rec.gauge_value("missing"), 0u);
-}
 
 TEST(JsonlTraceSink, ExplicitFlushAndStatusBoundaryMakeEventsVisible) {
   const auto path = temp_file("jsonl_flush.jsonl");

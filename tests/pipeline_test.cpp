@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -26,6 +27,7 @@
 #include "fsm/mealy.hpp"
 #include "model/explicit_model.hpp"
 #include "obs/event_sink.hpp"
+#include "obs/metrics.hpp"
 #include "pipeline/store_keys.hpp"
 #include "store/artifact_store.hpp"
 #include "tour/tour.hpp"
@@ -238,6 +240,63 @@ TEST(PipelineBudget, DefaultBudgetsMatchUnbudgetedRun) {
   EXPECT_EQ(semantic_fingerprint(budgeted), semantic_fingerprint(plain));
 }
 
+// Deadlines are checked against the stage's accumulated span time in the
+// run's own metrics registry; a zero deadline is already due at the first
+// check.
+
+TEST(PipelineBudget, ZeroTourDeadlineStopsBeforeTheFirstSequence) {
+  auto options = tour_campaign_options();
+  options.budgets.tour.deadline_seconds = 0.0;
+  const auto result = core::run_campaign(options, kThreeBugs);
+
+  EXPECT_EQ(result.sequences, 0u);
+  EXPECT_TRUE(result.clean_runs.empty());
+  EXPECT_TRUE(result.budget_exhausted());
+  const auto* tour = find_report(result.stage_reports, obs::Stage::kTour);
+  ASSERT_NE(tour, nullptr);
+  EXPECT_EQ(tour->status, obs::StageStatus::kBudgetExhausted);
+  EXPECT_EQ(tour->items, 0u);
+}
+
+TEST(PipelineBudget, ZeroSimulateDeadlineReportsSimulateExhausted) {
+  auto options = tour_campaign_options();
+  options.budgets.simulate.deadline_seconds = 0.0;
+  const auto result = core::run_campaign(options, kThreeBugs);
+
+  EXPECT_TRUE(result.budget_exhausted());
+  const auto* simulate =
+      find_report(result.stage_reports, obs::Stage::kSimulate);
+  ASSERT_NE(simulate, nullptr);
+  EXPECT_EQ(simulate->status, obs::StageStatus::kBudgetExhausted);
+  const auto* tour = find_report(result.stage_reports, obs::Stage::kTour);
+  ASSERT_NE(tour, nullptr);
+  EXPECT_EQ(tour->status, obs::StageStatus::kOk)
+      << "only the stage whose deadline passed reports it";
+}
+
+TEST(PipelineBudget, ZeroCompareDeadlineIsPostHocAndKeepsExposures) {
+  const auto reference =
+      core::run_campaign(tour_campaign_options(), kThreeBugs);
+  auto options = tour_campaign_options();
+  options.budgets.compare.deadline_seconds = 0.0;
+  const auto result = core::run_campaign(options, kThreeBugs);
+
+  EXPECT_TRUE(result.budget_exhausted());
+  const auto* compare =
+      find_report(result.stage_reports, obs::Stage::kCompare);
+  ASSERT_NE(compare, nullptr);
+  EXPECT_EQ(compare->status, obs::StageStatus::kBudgetExhausted);
+  EXPECT_EQ(compare->items, kThreeBugs.size());
+  // The compare pass is not cut short: every exposure verdict stays.
+  ASSERT_EQ(result.exposures.size(), reference.exposures.size());
+  for (std::size_t i = 0; i < result.exposures.size(); ++i) {
+    EXPECT_EQ(result.exposures[i].bug, reference.exposures[i].bug);
+    EXPECT_EQ(result.exposures[i].exposed, reference.exposures[i].exposed);
+    EXPECT_EQ(result.exposures[i].exposing_sequence,
+              reference.exposures[i].exposing_sequence);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Cancellation
 // ---------------------------------------------------------------------------
@@ -364,6 +423,87 @@ TEST(PipelineTimings, MutantReplayTimingsAreSpanDerived) {
               1e-9 * result.timings.total_seconds + 1e-12);
   EXPECT_GT(result.timings.tour_seconds, 0.0);
   EXPECT_GT(result.timings.simulate_seconds, 0.0);
+}
+
+TEST(PipelineTimings, StageSecondsAndTimingsAreTheRegistrySpanSums) {
+  obs::MetricsRegistry registry;
+  auto options = tour_campaign_options();
+  options.metrics = &registry;
+  const auto result = core::run_campaign(options, kThreeBugs);
+  ASSERT_TRUE(result.metrics.has_value());
+  const obs::MetricsSummary& metrics = *result.metrics;
+
+  // Seconds are nanosecond sums divided by 1e9, so rounding back to
+  // nanoseconds recovers the registry's sum exactly.
+  const auto ns = [](double seconds) {
+    return static_cast<std::uint64_t>(std::llround(seconds * 1e9));
+  };
+  ASSERT_FALSE(result.stage_reports.empty());
+  for (const auto& r : result.stage_reports) {
+    EXPECT_EQ(ns(r.seconds), obs::span_ns(metrics, r.stage))
+        << obs::stage_name(r.stage);
+  }
+  const auto span = [&](obs::Stage stage) {
+    return obs::span_ns(metrics, stage);
+  };
+  const auto& t = result.timings;
+  EXPECT_EQ(ns(t.model_build_seconds), span(obs::Stage::kModelBuild));
+  EXPECT_EQ(ns(t.symbolic_seconds), span(obs::Stage::kSymbolic));
+  EXPECT_EQ(ns(t.tour_seconds), span(obs::Stage::kTour));
+  EXPECT_EQ(ns(t.concretize_seconds), span(obs::Stage::kConcretize));
+  EXPECT_EQ(ns(t.simulate_seconds), span(obs::Stage::kSimulate) +
+                                        span(obs::Stage::kCompare) +
+                                        span(obs::Stage::kMutantReplay));
+  std::uint64_t total = 0;
+  for (std::size_t s = 0; s < obs::kStageCount; ++s) {
+    total += span(static_cast<obs::Stage>(s));
+  }
+  EXPECT_EQ(ns(t.total_seconds), total);
+  EXPECT_GT(total, 0u);
+}
+
+TEST(PipelineTimings, PackedAndScalarMutantLatenciesCountEveryMutant) {
+  const auto m = fsm::random_connected_machine(20, 3, 4, 9);
+  model::ExplicitModel model(m, 0);
+  core::MutantCoverageOptions options;
+  options.mutant_sample = 100;  // two packed blocks of 64 lanes
+  options.k_extension = 2;
+  options.exclude_equivalent = true;
+
+  struct Run {
+    core::MutantCoverageResult result;
+    std::uint64_t latencies = 0;
+  };
+  const auto run = [&](bool packed) {
+    obs::MetricsRegistry registry;
+    core::MutantCoverageOptions opt = options;
+    opt.packed = packed;
+    opt.sink = &registry;
+    Run out{core::evaluate_mutant_coverage(model, opt), 0};
+    for (const auto& h : registry.summary().histograms) {
+      if (h.stage == obs::Stage::kMutantReplay &&
+          h.name == "mutant.latency_ns") {
+        out.latencies = h.value.count;
+      }
+    }
+    return out;
+  };
+  const Run scalar = run(false);
+  const Run packed = run(true);
+
+  const auto* replay = find_report(scalar.result.stage_reports,
+                                   obs::Stage::kMutantReplay);
+  ASSERT_NE(replay, nullptr);
+  const std::size_t sampled = replay->items;
+  EXPECT_GT(sampled, 64u);
+  EXPECT_EQ(sampled, scalar.result.mutants + scalar.result.equivalent);
+  EXPECT_EQ(scalar.latencies, sampled);
+  EXPECT_EQ(packed.latencies, sampled);
+
+  EXPECT_EQ(packed.result.mutant_exposures, scalar.result.mutant_exposures);
+  EXPECT_EQ(packed.result.exposure_latency, scalar.result.exposure_latency);
+  EXPECT_EQ(packed.result.equivalent, scalar.result.equivalent);
+  EXPECT_EQ(packed.result.exposed, scalar.result.exposed);
 }
 
 // ---------------------------------------------------------------------------

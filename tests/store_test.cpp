@@ -16,6 +16,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "errmodel/errmodel.hpp"
@@ -23,11 +24,20 @@
 #include "model/encode.hpp"
 #include "model/explicit_model.hpp"
 #include "model/symbolic_model.hpp"
-#include "obs/event_sink.hpp"
+#include "obs/metrics.hpp"
 #include "testmodel/testmodel.hpp"
 
 namespace simcov::store {
 namespace {
+
+/// One (stage, name) counter of a registry; 0 when never emitted.
+std::uint64_t counter_value(const obs::MetricsRegistry& registry,
+                            obs::Stage stage, std::string_view name) {
+  for (const auto& c : registry.summary().counters) {
+    if (c.stage == stage && c.name == name) return c.value;
+  }
+  return 0;
+}
 
 // ---- Hasher canonicality ---------------------------------------------------
 
@@ -286,7 +296,7 @@ class ArtifactStoreTest : public ::testing::Test {
 
 TEST_F(ArtifactStoreTest, MissThenPublishThenVerifiedHit) {
   ArtifactStore store(StoreOptions{dir_, 0});
-  obs::CounterRecorder counters;
+  obs::MetricsRegistry counters;
   const Fingerprint key = key_of("tour-a");
   const std::vector<std::uint8_t> payload{1, 2, 3, 4, 5};
 
@@ -305,8 +315,8 @@ TEST_F(ArtifactStoreTest, MissThenPublishThenVerifiedHit) {
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_GT(stats.bytes_written, payload.size());  // header included
   EXPECT_GT(stats.bytes_read, 0u);
-  EXPECT_EQ(counters.value("store.miss"), 1u);
-  EXPECT_EQ(counters.value("store.hit"), 1u);
+  EXPECT_EQ(counter_value(counters, obs::Stage::kTour, "store.miss"), 1u);
+  EXPECT_EQ(counter_value(counters, obs::Stage::kTour, "store.hit"), 1u);
 
   // The on-disk name is the content address: <kind>-<32 hex>.art.
   const auto path = store.path_for(ArtifactKind::kTour, key);
@@ -364,7 +374,7 @@ TEST_F(ArtifactStoreTest, EraseRemovesWithoutCountingEviction) {
 TEST_F(ArtifactStoreTest, LruEvictionRespectsCapAndSparesCheckpoints) {
   // Cap far below three payloads; checkpoints never count against it.
   ArtifactStore store(StoreOptions{dir_, 300});
-  obs::CounterRecorder counters;
+  obs::MetricsRegistry counters;
   const std::vector<std::uint8_t> big(200, 0x5A);
   store.publish(ArtifactKind::kCheckpoint, key_of("ckpt"), big,
                 obs::Stage::kSimulate, counters);
@@ -377,7 +387,9 @@ TEST_F(ArtifactStoreTest, LruEvictionRespectsCapAndSparesCheckpoints) {
       store.path_for(ArtifactKind::kCheckpoint, key_of("ckpt"))))
       << "evicting a checkpoint would discard resumable progress";
   EXPECT_GT(store.stats().evictions, 0u);
-  EXPECT_EQ(counters.value("store.evict"), store.stats().evictions);
+  // Only the tour publishes can evict: checkpoints never count.
+  EXPECT_EQ(counter_value(counters, obs::Stage::kTour, "store.evict"),
+            store.stats().evictions);
 
   std::uintmax_t tour_bytes = 0;
   for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
@@ -454,18 +466,6 @@ TEST(TourCacheTest, RecordThenReplayIsIdentical) {
 TEST(TourCacheTest, MalformedPayloadThrowsInsteadOfReplayingGarbage) {
   EXPECT_THROW(StoredTourStream(std::vector<std::uint8_t>{1, 2, 3}),
                CodecError);
-}
-
-// ---- CounterRecorder -------------------------------------------------------
-
-TEST(CounterRecorderTest, AccumulatesAcrossStagesByName) {
-  obs::CounterRecorder counters;
-  counters.counter(obs::Stage::kTour, "store.hit", 2);
-  counters.counter(obs::Stage::kSimulate, "store.hit", 3);
-  counters.counter(obs::Stage::kTour, "store.miss", 1);
-  EXPECT_EQ(counters.value("store.hit"), 5u);
-  EXPECT_EQ(counters.value("store.miss"), 1u);
-  EXPECT_EQ(counters.value("never.emitted"), 0u);
 }
 
 }  // namespace
