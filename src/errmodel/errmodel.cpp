@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <bit>
-#include <random>
+#include <cstdint>
 #include <stdexcept>
+#include <unordered_set>
+
+#include "runtime/rng.hpp"
 
 namespace simcov::errmodel {
 
@@ -63,13 +66,74 @@ std::vector<Mutation> enumerate_transfer_errors(const MealyMachine& m,
 std::vector<Mutation> sample_mutations(const MealyMachine& m, StateId start,
                                        OutputId output_alphabet,
                                        std::size_t count, std::uint64_t seed) {
-  std::vector<Mutation> pool = enumerate_output_errors(m, start, output_alphabet);
-  const auto transfers = enumerate_transfer_errors(m, start);
-  pool.insert(pool.end(), transfers.begin(), transfers.end());
-  std::mt19937_64 rng(seed);
-  std::shuffle(pool.begin(), pool.end(), rng);
-  if (pool.size() > count) pool.resize(count);
-  return pool;
+  // The universe is a mixed-radix index: reachable transition t times K
+  // alternatives, index = t * K + a. Alternative a < wrong_outputs is the
+  // a-th output in [0, output_alphabet) skipping the original; the rest are
+  // the reachable states in ascending order skipping the original next.
+  const auto transitions = m.reachable_transitions(start);
+  for (const auto& ref : transitions) {
+    if (m.transition(ref.state, ref.input)->output >= output_alphabet) {
+      throw std::invalid_argument(
+          "sample_mutations: a reachable output lies outside the alphabet");
+    }
+  }
+  const auto seen = m.reachable_states(start);
+  std::vector<StateId> reachable;
+  for (StateId s = 0; s < m.num_states(); ++s) {
+    if (seen[s]) reachable.push_back(s);
+  }
+  if (transitions.empty() || count == 0) return {};
+  // Both terms are >= 0: the alphabet holds every reachable output (checked
+  // above) and `reachable` holds every reachable source.
+  const std::uint64_t wrong_outputs = std::uint64_t{output_alphabet} - 1;
+  const std::uint64_t alternatives = wrong_outputs + reachable.size() - 1;
+  if (alternatives == 0) return {};
+  if (transitions.size() > UINT64_MAX / alternatives) {
+    throw std::length_error("sample_mutations: universe exceeds 2^64");
+  }
+  const std::uint64_t universe = transitions.size() * alternatives;
+  const std::uint64_t draws = std::min<std::uint64_t>(count, universe);
+
+  // Floyd's algorithm: `draws` distinct indices, O(draws) work and memory.
+  // The set only answers membership; `drawn` keeps the insertion order so
+  // the result never depends on hash-table iteration.
+  runtime::SplitMix64 rng(seed);
+  std::vector<std::uint64_t> drawn;
+  drawn.reserve(draws);
+  std::unordered_set<std::uint64_t> taken;
+  taken.reserve(draws);
+  for (std::uint64_t j = universe - draws; j < universe; ++j) {
+    const std::uint64_t pick = rng.below(j + 1);
+    const std::uint64_t index = taken.contains(pick) ? j : pick;
+    taken.insert(index);
+    drawn.push_back(index);
+  }
+  // Floyd's insertion order is biased toward large indices last; a
+  // Fisher-Yates pass makes the order uniform too.
+  for (std::size_t k = drawn.size(); k > 1; --k) {
+    std::swap(drawn[k - 1], drawn[rng.below(k)]);
+  }
+
+  std::vector<Mutation> result;
+  result.reserve(drawn.size());
+  for (const std::uint64_t index : drawn) {
+    const fsm::TransitionRef ref = transitions[index / alternatives];
+    const std::uint64_t a = index % alternatives;
+    const auto t = m.transition(ref.state, ref.input).value();
+    if (a < wrong_outputs) {
+      const auto o = static_cast<OutputId>(a);
+      result.push_back(
+          Mutation{ErrorKind::kOutput, ref, 0, o < t.output ? o : o + 1});
+    } else {
+      const std::size_t b = a - wrong_outputs;
+      const auto original = static_cast<std::size_t>(
+          std::lower_bound(reachable.begin(), reachable.end(), t.next) -
+          reachable.begin());
+      result.push_back(Mutation{ErrorKind::kTransfer, ref,
+                                reachable[b < original ? b : b + 1], 0});
+    }
+  }
+  return result;
 }
 
 bool exposes(const MealyMachine& spec, const MealyMachine& mutant,

@@ -59,8 +59,24 @@ std::vector<Mutation> enumerate_output_errors(const fsm::MealyMachine& m,
 std::vector<Mutation> enumerate_transfer_errors(const fsm::MealyMachine& m,
                                                 fsm::StateId start);
 
-/// A reproducible random sample (without replacement) of `count` mutations
-/// from the full output+transfer enumeration.
+/// A random sample of min(count, universe) mutations from the universe
+/// enumerate_output_errors ∪ enumerate_transfer_errors, drawn uniformly
+/// without replacement and returned in uniformly random order.
+///
+/// The universe is never built: it is indexed as reachable transition ×
+/// alternative (K = output_alphabet - 1 wrong outputs, then
+/// |reachable states| - 1 wrong destinations), indices are drawn with
+/// Floyd's algorithm, ordered with Fisher-Yates, and decoded on demand.
+/// Both draw from one runtime::SplitMix64 stream seeded with `seed`, so the
+/// sample is a function of (m, start, output_alphabet, count, seed) alone —
+/// no implementation-defined library RNG or distribution is involved.
+/// Work and memory are O(|reachable transitions| + |states| + count).
+///
+/// An empty universe (no reachable transition, or K == 0) or count == 0
+/// returns {}; count >= universe returns every mutant exactly once.
+/// Precondition: every reachable transition's output is below
+/// `output_alphabet` (output_alphabet_size() always qualifies); otherwise
+/// throws std::invalid_argument.
 std::vector<Mutation> sample_mutations(const fsm::MealyMachine& m,
                                        fsm::StateId start,
                                        fsm::OutputId output_alphabet,

@@ -6,10 +6,6 @@
 
 namespace simcov::gen {
 
-namespace {
-constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ull;
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // BiasedRandomSource
 // ---------------------------------------------------------------------------
@@ -19,14 +15,9 @@ BiasedRandomSource::BiasedRandomSource(model::TestModel& model,
                                        std::uint64_t seed)
     : model_(&model),
       spec_(spec),
-      rng_base_(
-          runtime::derive_stream(seed, runtime::Stream::kGeneratorStream)) {
+      rng_(runtime::derive_stream(seed, runtime::Stream::kGeneratorStream)) {
   tracker_.set_totals(model.count_reachable_states(),
                       model.count_reachable_transitions());
-}
-
-std::uint64_t BiasedRandomSource::next_u64() {
-  return runtime::splitmix64(rng_base_ + draws_++ * kGolden);
 }
 
 bool BiasedRandomSource::coverage_complete() const {
@@ -79,7 +70,7 @@ BiasedRandomSource::next_sequence() {
     for (const auto& e : edges) {
       total += 1 + spec_.bias_strength * (h_max - tracker_.hits(at, e.input));
     }
-    std::uint64_t r = next_u64() % total;
+    std::uint64_t r = rng_.next() % total;
     const model::TestModel::Edge* chosen = &edges.back();
     for (const auto& e : edges) {
       const std::uint64_t w =

@@ -16,13 +16,12 @@
 //     Simulation-Based Verification", PAPERS.md).
 //
 // Determinism contract: both sources are pure functions of
-// (model, spec, seed). Randomness comes from a counter-indexed splitmix64
-// stream derived via runtime::derive_stream(seed, kGeneratorStream), so
-// draw k is a function of (seed, k) alone — no hidden mutable generator
-// state. Sequences are pulled serially by the pipeline coordinator, which
-// makes campaign reports bit-identical at any thread count, and a resumed
-// campaign re-pulls the identical stream from the start, so the sources
-// compose with checkpoint/resume byte-for-byte.
+// (model, spec, seed). Randomness comes from a runtime::SplitMix64 stream
+// seeded with runtime::derive_stream(seed, kGeneratorStream), so draw k is
+// a function of (seed, k) alone. Sequences are pulled serially by the
+// pipeline coordinator, which makes campaign reports bit-identical at any
+// thread count, and a resumed campaign re-pulls the identical stream from
+// the start, so the sources compose with checkpoint/resume byte-for-byte.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +31,7 @@
 
 #include "model/generator_spec.hpp"
 #include "model/test_model.hpp"
+#include "runtime/rng.hpp"
 
 namespace simcov::gen {
 
@@ -59,14 +59,11 @@ class BiasedRandomSource final : public model::SequenceSource {
   void absorb_sequence(const std::vector<std::vector<bool>>& steps);
 
  private:
-  [[nodiscard]] std::uint64_t next_u64();
   [[nodiscard]] bool coverage_complete() const;
 
   model::TestModel* model_;
   model::GeneratorSpec spec_;
-  /// Counter-indexed splitmix64 stream: draw k is splitmix64(base + k*phi).
-  std::uint64_t rng_base_ = 0;
-  std::uint64_t draws_ = 0;
+  runtime::SplitMix64 rng_;
   model::CoverageTracker tracker_;
   std::size_t steps_ = 0;
   std::size_t yielded_ = 0;

@@ -22,6 +22,36 @@ namespace simcov::runtime {
   return x ^ (x >> 31);
 }
 
+/// A splitmix64 generator: draw k is splitmix64(seed + k * golden ratio).
+/// The sequence is fixed by this header alone, so anything drawn from it is
+/// portable across compilers and standard libraries — unlike
+/// std::mt19937_64 fed through a std::*_distribution or std::shuffle, whose
+/// algorithms are implementation-defined.
+class SplitMix64 {
+ public:
+  constexpr explicit SplitMix64(std::uint64_t seed) : state_(seed) {}
+
+  [[nodiscard]] constexpr std::uint64_t next() {
+    const std::uint64_t out = splitmix64(state_);
+    state_ += 0x9e3779b97f4a7c15ull;
+    return out;
+  }
+
+  /// Uniform draw from [0, bound), unbiased: draws below 2^64 mod bound are
+  /// rejected, so the accepted range is a whole number of copies of
+  /// [0, bound). Precondition: bound > 0.
+  [[nodiscard]] constexpr std::uint64_t below(std::uint64_t bound) {
+    const std::uint64_t reject_below = (0 - bound) % bound;  // 2^64 mod bound
+    for (;;) {
+      const std::uint64_t r = next();
+      if (r >= reject_below) return r % bound;
+    }
+  }
+
+ private:
+  std::uint64_t state_;
+};
+
 /// Well-known stream tags used by the campaign engine. Values are part of
 /// the reproducibility contract: changing them changes every seeded result.
 enum Stream : std::uint64_t {

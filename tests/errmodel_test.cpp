@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <set>
+#include <stdexcept>
+#include <tuple>
 
 #include "tour/tour.hpp"
 
@@ -97,6 +100,107 @@ TEST(Sampling, SampleIsBoundedAndReproducible) {
   // Requesting more than the pool returns the whole pool.
   const auto all = sample_mutations(m, 0, 13, 1000000, 3);
   EXPECT_EQ(all.size(), 6u * 12u + 12u);
+}
+
+using MutationKey =
+    std::tuple<ErrorKind, StateId, InputId, StateId, fsm::OutputId>;
+
+MutationKey key_of(const Mutation& mut) {
+  return {mut.kind, mut.at.state, mut.at.input, mut.new_next, mut.new_output};
+}
+
+// The indexed sampler must be a bijection onto the enumerated universe:
+// asking for at least the whole universe returns each enumerated mutant
+// exactly once, and a partial sample draws only distinct, real mutants.
+class SamplingUniverse : public ::testing::TestWithParam<int> {};
+
+TEST_P(SamplingUniverse, FullSampleIsTheEnumerationAndPartialIsDistinct) {
+  const int seed = GetParam();
+  const MealyMachine m =
+      seed == 0 ? ring_machine()
+                : fsm::random_connected_machine(5 + seed, 1 + seed % 3,
+                                                2 + seed % 4, seed);
+  const fsm::OutputId alphabet = m.output_alphabet_size() + seed % 2;
+  std::vector<Mutation> universe = enumerate_output_errors(m, 0, alphabet);
+  const auto transfers = enumerate_transfer_errors(m, 0);
+  universe.insert(universe.end(), transfers.begin(), transfers.end());
+  std::set<MutationKey> expected;
+  for (const auto& mut : universe) expected.insert(key_of(mut));
+  ASSERT_EQ(expected.size(), universe.size());
+
+  for (const std::size_t count : {universe.size(), universe.size() + 7}) {
+    const auto all = sample_mutations(m, 0, alphabet, count, seed + 1);
+    ASSERT_EQ(all.size(), universe.size());
+    std::set<MutationKey> got;
+    for (const auto& mut : all) got.insert(key_of(mut));
+    EXPECT_EQ(got, expected);
+  }
+
+  const auto reachable = m.reachable_states(0);
+  const std::size_t count = universe.size() / 3;
+  const auto part = sample_mutations(m, 0, alphabet, count, seed + 1);
+  ASSERT_EQ(part.size(), count);
+  std::set<MutationKey> distinct;
+  for (const auto& mut : part) {
+    EXPECT_TRUE(distinct.insert(key_of(mut)).second) << "duplicate draw";
+    EXPECT_NO_THROW((void)apply_mutation(m, mut)) << "vacuous draw";
+    if (mut.kind == ErrorKind::kTransfer) {
+      EXPECT_TRUE(reachable[mut.new_next]);
+    } else {
+      EXPECT_LT(mut.new_output, alphabet);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Machines, SamplingUniverse, ::testing::Range(0, 6));
+
+// The sample is fixed by runtime/rng.hpp and this module alone; no standard
+// library change may move it. These literals are the first draws of the
+// ring machine at seed 3.
+TEST(Sampling, FirstDrawsArePinned) {
+  const auto sample = sample_mutations(ring_machine(), 0, 13, 8, 3);
+  const std::vector<MutationKey> pinned = {
+      {ErrorKind::kOutput, 2, 1, 0, 0},   {ErrorKind::kTransfer, 1, 0, 1, 0},
+      {ErrorKind::kOutput, 2, 0, 0, 8},   {ErrorKind::kOutput, 0, 1, 0, 12},
+      {ErrorKind::kOutput, 0, 0, 0, 4},   {ErrorKind::kOutput, 1, 0, 0, 10},
+      {ErrorKind::kOutput, 1, 1, 0, 5},   {ErrorKind::kOutput, 1, 1, 0, 3},
+  };
+  ASSERT_EQ(sample.size(), pinned.size());
+  for (std::size_t k = 0; k < sample.size(); ++k) {
+    EXPECT_EQ(key_of(sample[k]), pinned[k]) << "draw " << k;
+  }
+}
+
+TEST(Sampling, EmptyUniverseAndZeroCountReturnNothing) {
+  MealyMachine lone(1, 1);  // one reachable state, alphabet 1: K == 0
+  lone.set_transition(0, 0, 0, 0);
+  EXPECT_TRUE(sample_mutations(lone, 0, 1, 10, 1).empty());
+  const MealyMachine undefined(3, 2);  // no reachable transition
+  EXPECT_TRUE(sample_mutations(undefined, 0, 5, 10, 1).empty());
+  EXPECT_TRUE(sample_mutations(undefined, 0, 0, 10, 1).empty());
+  EXPECT_TRUE(sample_mutations(ring_machine(), 0, 13, 0, 1).empty());
+}
+
+TEST(Sampling, OutputOutsideAlphabetThrows) {
+  // ring_machine emits outputs up to 12; alphabet 12 would give transition
+  // (2, 1) a different radix from the others.
+  EXPECT_THROW((void)sample_mutations(ring_machine(), 0, 12, 5, 1),
+               std::invalid_argument);
+}
+
+// A universe of ~2.3e9 mutants: materialising it would take tens of GB, so
+// this fails by running out of memory if the sampler ever enumerates again.
+TEST(Sampling, DrawsFromAHugeUniverseWithoutMaterialisingIt) {
+  const fsm::OutputId alphabet = fsm::OutputId{1} << 16;
+  const MealyMachine m = fsm::random_connected_machine(4096, 8, alphabet, 5);
+  ASSERT_GT(m.reachable_transitions(0).size() *
+                (std::size_t{alphabet} - 1 + m.num_reachable_states(0) - 1),
+            std::size_t{1000000000});
+  const auto sample = sample_mutations(m, 0, alphabet, 1000, 9);
+  ASSERT_EQ(sample.size(), 1000u);
+  std::set<MutationKey> distinct;
+  for (const auto& mut : sample) distinct.insert(key_of(mut));
+  EXPECT_EQ(distinct.size(), sample.size());
 }
 
 TEST(Exposure, OutputErrorExposedExactlyWhenExcited) {

@@ -133,6 +133,35 @@ TEST(Rng, StreamsAreDecoupledAcrossRelatedSeeds) {
   EXPECT_EQ(seen.size(), seeds.size() * 3);
 }
 
+TEST(Rng, SplitMix64DrawKIsTheFinalizerAtSeedPlusKGolden) {
+  SplitMix64 rng(77);
+  for (std::uint64_t k = 0; k < 16; ++k) {
+    EXPECT_EQ(rng.next(), splitmix64(77 + k * 0x9e3779b97f4a7c15ull));
+  }
+}
+
+TEST(Rng, BoundedDrawStaysInRangeAndIsDeterministic) {
+  SplitMix64 one(5);
+  for (int k = 0; k < 100; ++k) EXPECT_EQ(one.below(1), 0u);
+  for (const std::uint64_t bound :
+       {std::uint64_t{2}, std::uint64_t{7}, std::uint64_t{1} << 40,
+        (std::uint64_t{1} << 63) + 1, ~std::uint64_t{0}}) {
+    SplitMix64 a(bound);
+    SplitMix64 b(bound);
+    std::set<std::uint64_t> seen;
+    for (int k = 0; k < 200; ++k) {
+      const std::uint64_t x = a.below(bound);
+      EXPECT_LT(x, bound);
+      EXPECT_EQ(x, b.below(bound));
+      seen.insert(x);
+    }
+    EXPECT_GT(seen.size(), 1u);
+  }
+  SplitMix64 c(6);
+  SplitMix64 d(5);
+  EXPECT_NE(c.below(1u << 20), d.below(1u << 20));
+}
+
 TEST(Rng, RunStreamsDifferPerRun) {
   std::set<std::uint64_t> seen;
   for (std::uint64_t run = 0; run < 1000; ++run) {
