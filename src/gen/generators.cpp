@@ -26,19 +26,7 @@ bool BiasedRandomSource::coverage_complete() const {
 
 void BiasedRandomSource::absorb_sequence(
     const std::vector<std::vector<bool>>& steps) {
-  std::uint64_t at = model_->reset_state();
-  tracker_.visit_state(at);
-  for (const auto& step : steps) {
-    const std::uint64_t input = model::TestModel::pack_bits(step);
-    const auto next = model_->step(at, input);
-    if (!next) {
-      throw std::domain_error(
-          "BiasedRandomSource: absorbed sequence takes an invalid input");
-    }
-    tracker_.cover_transition(at, input);
-    at = *next;
-    tracker_.visit_state(at);
-  }
+  model_->replay(steps, tracker_);
 }
 
 std::optional<std::vector<std::vector<bool>>>

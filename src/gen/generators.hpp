@@ -51,11 +51,11 @@ class BiasedRandomSource final : public model::SequenceSource {
   std::optional<std::vector<std::vector<bool>>> next_sequence() override;
   model::TourResult summary() override;
 
-  /// Replays an externally produced sequence into the walk's coverage
-  /// tracker without counting it against the walk's own step budget — the
-  /// hybrid seed phase feeds its partial tour through this, so the biased
-  /// phase starts from the seeded coverage. Throws std::domain_error on an
-  /// invalid input.
+  /// Replays (TestModel::replay) an externally produced sequence into the
+  /// walk's coverage tracker without counting it against the walk's own
+  /// step budget — the hybrid seed phase feeds its partial tour through
+  /// this, so the biased phase starts from the seeded coverage. Throws
+  /// std::domain_error on an invalid input.
   void absorb_sequence(const std::vector<std::vector<bool>>& steps);
 
  private:

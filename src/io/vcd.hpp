@@ -31,8 +31,8 @@ namespace simcov::io {
 class VcdWriter {
  public:
   /// `module_name` is the top-level `$scope` (each sequence nests inside
-  /// it). Throws std::invalid_argument if the circuit declares a network
-  /// input that is neither a latch current signal nor a primary input.
+  /// it). Throws std::invalid_argument if a declared primary input is not
+  /// a network input.
   explicit VcdWriter(const sym::SequentialCircuit& circuit,
                      std::string_view module_name = "campaign");
 

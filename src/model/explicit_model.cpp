@@ -108,49 +108,6 @@ std::optional<std::uint64_t> ExplicitModel::output(std::uint64_t state,
   return static_cast<std::uint64_t>(t->output);
 }
 
-void ExplicitModel::step_batch(std::span<const std::uint64_t> states,
-                               std::span<const std::uint64_t> inputs,
-                               std::span<std::optional<std::uint64_t>> next) {
-  if (inputs.size() != states.size() || next.size() != states.size()) {
-    throw std::invalid_argument(
-        "ExplicitModel::step_batch: lane span mismatch");
-  }
-  for (std::size_t l = 0; l < states.size(); ++l) {
-    const auto s = key_to_state_.find(states[l]);
-    const auto i = key_to_input_.find(inputs[l]);
-    if (s == key_to_state_.end() || i == key_to_input_.end()) {
-      next[l] = std::nullopt;
-      continue;
-    }
-    const auto t = machine_.transition(s->second, i->second);
-    next[l] = t.has_value() ? std::optional<std::uint64_t>(
-                                  state_keys_[t->next])
-                            : std::nullopt;
-  }
-}
-
-void ExplicitModel::output_batch(std::span<const std::uint64_t> states,
-                                 std::span<const std::uint64_t> inputs,
-                                 std::span<std::optional<std::uint64_t>> out) {
-  if (inputs.size() != states.size() || out.size() != states.size()) {
-    throw std::invalid_argument(
-        "ExplicitModel::output_batch: lane span mismatch");
-  }
-  for (std::size_t l = 0; l < states.size(); ++l) {
-    const auto s = key_to_state_.find(states[l]);
-    const auto i = key_to_input_.find(inputs[l]);
-    if (s == key_to_state_.end() || i == key_to_input_.end()) {
-      out[l] = std::nullopt;
-      continue;
-    }
-    const auto t = machine_.transition(s->second, i->second);
-    out[l] = t.has_value()
-                 ? std::optional<std::uint64_t>(
-                       static_cast<std::uint64_t>(t->output))
-                 : std::nullopt;
-  }
-}
-
 std::vector<bool> ExplicitModel::input_vector(std::uint64_t input) const {
   const auto it = key_to_input_.find(input);
   if (it == key_to_input_.end()) {
@@ -179,13 +136,6 @@ Tour ExplicitModel::to_tour(const tour::TourSet& set) const {
   return out;
 }
 
-Tour ExplicitModel::to_tour(const tour::Tour& t) const {
-  tour::TourSet set;
-  set.start = t.start;
-  set.sequences.push_back(t.inputs);
-  return to_tour(set);
-}
-
 TourResult ExplicitModel::to_result(const tour::TourSet& set) {
   TourResult result;
   result.tour = to_tour(set);
@@ -197,22 +147,12 @@ TourResult ExplicitModel::to_result(const tour::TourSet& set) {
   return result;
 }
 
-TourResult ExplicitModel::transition_tour(const TourOptions& options) {
-  (void)options;  // explicit generators always terminate; no step cap
-  auto set = tour::greedy_transition_tour_set(machine_, start_);
-  if (!set.has_value()) {
-    throw std::runtime_error(
-        "ExplicitModel: transition tour set generation failed");
-  }
-  return to_result(*set);
-}
-
 namespace {
 
 /// Streaming transition tour over the incremental greedy generator. Each
-/// yielded sequence is replayed into a persistent CoverageTracker keyed by
-/// dense ids — a bijection of the packed keys TestModel::evaluate uses, so
-/// the distinct-state/transition counts agree exactly.
+/// yielded sequence is replayed (TestModel::replay) into a persistent
+/// CoverageTracker, so the summary is exactly TestModel::evaluate of the
+/// yielded sequences.
 class ExplicitTourStream final : public SequenceSource {
  public:
   explicit ExplicitTourStream(ExplicitModel& model)
@@ -221,7 +161,7 @@ class ExplicitTourStream final : public SequenceSource {
         tracker_(model.count_reachable_states(),
                  model.count_reachable_transitions()) {
     // An empty tour still starts at reset (matches TestModel::evaluate).
-    tracker_.visit_state(model_.start());
+    tracker_.visit_state(model_.reset_state());
   }
 
   std::optional<std::vector<std::vector<bool>>> next_sequence() override {
@@ -233,19 +173,13 @@ class ExplicitTourStream final : public SequenceSource {
       }
       return std::nullopt;
     }
-    fsm::StateId at = model_.start();
-    tracker_.visit_state(at);
-    for (fsm::InputId i : *seq) {
-      tracker_.cover_transition(at, i);
-      at = model_.machine().transition(at, i)->next;
-      tracker_.visit_state(at);
-    }
     steps_ += seq->size();
     ++yielded_;
     tour::TourSet one;
     one.start = model_.start();
     one.sequences.push_back(std::move(*seq));
     Tour converted = model_.to_tour(one);
+    model_.replay(converted.sequences.front(), tracker_);
     return std::move(converted.sequences.front());
   }
 

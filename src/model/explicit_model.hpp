@@ -9,7 +9,7 @@
 //    with a SymbolicModel of model::encode_circuit(machine).
 //
 // Tour generation delegates to the src/tour generators; coverage is
-// replayed through the shared model::CoverageTracker so the reported
+// accounted by TestModel::replay over the packed keys, so the reported
 // statistics are identically defined across backends.
 #pragma once
 
@@ -50,19 +50,10 @@ class ExplicitModel final : public TestModel {
                                     std::uint64_t input) override;
   std::optional<std::uint64_t> output(std::uint64_t state,
                                       std::uint64_t input) override;
-  /// Batch forms resolve each lane's keys once and walk the dense
-  /// transition table directly — no per-lane virtual dispatch.
-  void step_batch(std::span<const std::uint64_t> states,
-                  std::span<const std::uint64_t> inputs,
-                  std::span<std::optional<std::uint64_t>> next) override;
-  void output_batch(std::span<const std::uint64_t> states,
-                    std::span<const std::uint64_t> inputs,
-                    std::span<std::optional<std::uint64_t>> out) override;
   [[nodiscard]] std::vector<bool> input_vector(
       std::uint64_t input) const override;
   [[nodiscard]] double count_reachable_states() override;
   [[nodiscard]] double count_reachable_transitions() override;
-  TourResult transition_tour(const TourOptions& options = {}) override;
   std::unique_ptr<SequenceSource> tour_source(
       const TourOptions& options = {}) override;
   TourResult random_walk(std::size_t length, std::uint64_t seed) override;
@@ -71,7 +62,6 @@ class ExplicitModel final : public TestModel {
   /// Converts a src/tour test set (dense input ids, from this machine's
   /// start state) into the backend-neutral representation.
   [[nodiscard]] Tour to_tour(const tour::TourSet& set) const;
-  [[nodiscard]] Tour to_tour(const tour::Tour& t) const;
 
   /// Tour + tracker-replayed coverage in one TourResult.
   TourResult to_result(const tour::TourSet& set);

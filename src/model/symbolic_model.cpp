@@ -19,52 +19,20 @@ SymbolicModel::SymbolicModel(const sym::SequentialCircuit& circuit,
     throw std::invalid_argument(
         "SymbolicModel: too many variables for packed 64-bit keys");
   }
-  reset_ = pack_bits(fsm_.initial_state_bits());
-  assignment_.assign(mgr_.var_count(), false);
-}
-
-void SymbolicModel::load_assignment(std::uint64_t state,
-                                    std::uint64_t input) {
-  // Eval happens on BDDs built before any later var allocations; keep the
-  // assignment sized to the manager's current variable count.
-  if (assignment_.size() < mgr_.var_count()) {
-    assignment_.resize(mgr_.var_count(), false);
-  }
-  for (unsigned j = 0; j < fsm_.num_latches(); ++j) {
-    assignment_[fsm_.ps_var(j)] = (state >> j) & 1u;
-  }
-  for (unsigned k = 0; k < fsm_.num_inputs(); ++k) {
-    assignment_[fsm_.pi_var(k)] = (input >> k) & 1u;
-  }
+  reset_ = fsm_.initial_state_key();
 }
 
 bool SymbolicModel::valid_at(std::uint64_t state, std::uint64_t input) {
-  load_assignment(state, input);
-  return mgr_.eval(fsm_.valid_inputs(), assignment_);
+  return fsm_.eval_packed({&fsm_.valid_inputs(), 1}, state, input) != 0;
 }
 
 std::vector<TestModel::Edge> SymbolicModel::edges(std::uint64_t state) {
   const auto it = edge_cache_.find(state);
   if (it != edge_cache_.end()) return it->second;
-
   std::vector<Edge> out;
-  const bdd::Bdd at_state = mgr_.constrain(
-      fsm_.valid_inputs(),
-      mgr_.minterm(fsm_.ps_vars(), unpack_bits(state, fsm_.num_latches())));
-  const auto& funcs = fsm_.next_functions();
-  mgr_.for_each_minterm(
-      at_state, fsm_.pi_vars(), [&](const std::vector<bool>& in) {
-        const std::uint64_t input = pack_bits(in);
-        load_assignment(state, input);
-        std::uint64_t next = 0;
-        for (unsigned j = 0; j < fsm_.num_latches(); ++j) {
-          if (mgr_.eval(funcs[j], assignment_)) {
-            next |= std::uint64_t{1} << j;
-          }
-        }
-        out.push_back(Edge{input, next});
-        return true;
-      });
+  for (const sym::PackedEdge& e : fsm_.successors(state)) {
+    out.push_back(Edge{e.input, e.next});
+  }
   std::sort(out.begin(), out.end(),
             [](const Edge& a, const Edge& b) { return a.input < b.input; });
   return edge_cache_.emplace(state, std::move(out)).first->second;
@@ -73,14 +41,7 @@ std::vector<TestModel::Edge> SymbolicModel::edges(std::uint64_t state) {
 std::optional<std::uint64_t> SymbolicModel::step(std::uint64_t state,
                                                  std::uint64_t input) {
   if (!valid_at(state, input)) return std::nullopt;
-  const auto& funcs = fsm_.next_functions();
-  std::uint64_t next = 0;
-  for (unsigned j = 0; j < fsm_.num_latches(); ++j) {
-    if (mgr_.eval(funcs[j], assignment_)) {
-      next |= std::uint64_t{1} << j;
-    }
-  }
-  return next;
+  return fsm_.eval_packed(fsm_.next_functions(), state, input);
 }
 
 std::optional<std::uint64_t> SymbolicModel::output(std::uint64_t state,
@@ -91,13 +52,7 @@ std::optional<std::uint64_t> SymbolicModel::output(std::uint64_t state,
     throw std::invalid_argument(
         "SymbolicModel::output: too many outputs for a packed 64-bit key");
   }
-  std::uint64_t out = 0;
-  for (std::size_t j = 0; j < funcs.size(); ++j) {
-    if (mgr_.eval(funcs[j], assignment_)) {
-      out |= std::uint64_t{1} << j;
-    }
-  }
-  return out;
+  return fsm_.eval_packed(funcs, state, input);
 }
 
 void SymbolicModel::step_batch(std::span<const std::uint64_t> states,
@@ -124,31 +79,6 @@ void SymbolicModel::step_batch(std::span<const std::uint64_t> states,
   }
 }
 
-void SymbolicModel::output_batch(std::span<const std::uint64_t> states,
-                                 std::span<const std::uint64_t> inputs,
-                                 std::span<std::optional<std::uint64_t>> out) {
-  if (inputs.size() != states.size() || out.size() != states.size()) {
-    throw std::invalid_argument(
-        "SymbolicModel::output_batch: lane span mismatch");
-  }
-  std::array<std::uint64_t, sym::PackedCircuitSim::kLanes> next_scratch;
-  std::array<std::uint64_t, sym::PackedCircuitSim::kLanes> out_scratch;
-  for (std::size_t base = 0; base < states.size();
-       base += sym::PackedCircuitSim::kLanes) {
-    const std::size_t lanes =
-        std::min(sym::PackedCircuitSim::kLanes, states.size() - base);
-    const std::uint64_t valid =
-        packed_.step(states.subspan(base, lanes), inputs.subspan(base, lanes),
-                     std::span<std::uint64_t>(next_scratch.data(), lanes),
-                     std::span<std::uint64_t>(out_scratch.data(), lanes));
-    for (std::size_t l = 0; l < lanes; ++l) {
-      out[base + l] = ((valid >> l) & 1u) != 0
-                          ? std::optional<std::uint64_t>(out_scratch[l])
-                          : std::nullopt;
-    }
-  }
-}
-
 std::vector<bool> SymbolicModel::input_vector(std::uint64_t input) const {
   return unpack_bits(input, fsm_.num_inputs());
 }
@@ -159,21 +89,6 @@ double SymbolicModel::count_reachable_states() {
 
 double SymbolicModel::count_reachable_transitions() {
   return fsm_.count_transitions(fsm_.reachable_states());
-}
-
-TourResult SymbolicModel::transition_tour(const TourOptions& options) {
-  sym::SymbolicTourOptions topt;
-  topt.max_steps = options.max_steps;
-  topt.record_inputs = options.record_inputs;
-  auto sym_result = sym::symbolic_transition_tour(fsm_, topt);
-
-  TourResult result;
-  result.tour.sequences = std::move(sym_result.sequences);
-  result.coverage = sym_result.stats;
-  result.steps = sym_result.steps;
-  result.restarts = sym_result.restarts;
-  result.complete = sym_result.complete;
-  return result;
 }
 
 namespace {
@@ -210,7 +125,6 @@ std::unique_ptr<SequenceSource> SymbolicModel::tour_source(
     const TourOptions& options) {
   sym::SymbolicTourOptions topt;
   topt.max_steps = options.max_steps;
-  topt.record_inputs = options.record_inputs;
   return std::make_unique<SymbolicModelTourStream>(fsm_, topt);
 }
 

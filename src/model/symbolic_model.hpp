@@ -6,9 +6,10 @@
 // ExplicitModel-over-extraction use, so the two backends agree key-for-key
 // on the same circuit.
 //
-// Reachable counts are BDD satisfying-assignment counts; transition tours
-// come from sym::symbolic_transition_tour (pre-image distance layers), with
-// coverage accounted through the shared model::CoverageTracker.
+// Reachable counts are BDD satisfying-assignment counts; edges() and the
+// transition tour (sym::SymbolicTourStream, pre-image distance layers)
+// share one successor enumeration, sym::SymbolicFsm::successors, and the
+// tour accounts coverage with TestModel::replay's definition.
 #pragma once
 
 #include <unordered_map>
@@ -57,34 +58,28 @@ class SymbolicModel final : public TestModel {
                                     std::uint64_t input) override;
   std::optional<std::uint64_t> output(std::uint64_t state,
                                       std::uint64_t input) override;
-  /// Batch forms bypass the BDD evaluator entirely: one word-level pass of
-  /// the underlying circuit (sym::PackedCircuitSim) steps all lanes at
-  /// once. Answers agree lane-for-lane with step()/output() — the circuit
-  /// and its BDD view compute the same functions.
+  /// Bypasses the BDD evaluator entirely: one word-level pass of the
+  /// underlying circuit (sym::PackedCircuitSim) steps all lanes at once.
+  /// Answers agree lane-for-lane with step() — the circuit and its BDD view
+  /// compute the same functions.
   void step_batch(std::span<const std::uint64_t> states,
                   std::span<const std::uint64_t> inputs,
                   std::span<std::optional<std::uint64_t>> next) override;
-  void output_batch(std::span<const std::uint64_t> states,
-                    std::span<const std::uint64_t> inputs,
-                    std::span<std::optional<std::uint64_t>> out) override;
   [[nodiscard]] std::vector<bool> input_vector(
       std::uint64_t input) const override;
   [[nodiscard]] double count_reachable_states() override;
   [[nodiscard]] double count_reachable_transitions() override;
-  TourResult transition_tour(const TourOptions& options = {}) override;
   std::unique_ptr<SequenceSource> tour_source(
       const TourOptions& options = {}) override;
   TourResult random_walk(std::size_t length, std::uint64_t seed) override;
 
  private:
-  void load_assignment(std::uint64_t state, std::uint64_t input);
   [[nodiscard]] bool valid_at(std::uint64_t state, std::uint64_t input);
 
   bdd::BddManager mgr_;
   sym::SymbolicFsm fsm_;
   sym::PackedCircuitSim packed_;
   std::uint64_t reset_ = 0;
-  std::vector<bool> assignment_;
   /// Per-state (input, successor) enumeration, memoized — the walk revisits
   /// states far more often than it discovers them.
   std::unordered_map<std::uint64_t, std::vector<Edge>> edge_cache_;

@@ -33,11 +33,6 @@ std::vector<bool> TestModel::unpack_bits(std::uint64_t key, unsigned width) {
   return bits;
 }
 
-std::unique_ptr<SequenceSource> TestModel::tour_source(
-    const TourOptions& options) {
-  return std::make_unique<MaterializedTourStream>(transition_tour(options));
-}
-
 void TestModel::step_batch(std::span<const std::uint64_t> states,
                            std::span<const std::uint64_t> inputs,
                            std::span<std::optional<std::uint64_t>> next) {
@@ -46,17 +41,6 @@ void TestModel::step_batch(std::span<const std::uint64_t> states,
   }
   for (std::size_t l = 0; l < states.size(); ++l) {
     next[l] = step(states[l], inputs[l]);
-  }
-}
-
-void TestModel::output_batch(std::span<const std::uint64_t> states,
-                             std::span<const std::uint64_t> inputs,
-                             std::span<std::optional<std::uint64_t>> out) {
-  if (inputs.size() != states.size() || out.size() != states.size()) {
-    throw std::invalid_argument("TestModel::output_batch: lane span mismatch");
-  }
-  for (std::size_t l = 0; l < states.size(); ++l) {
-    out[l] = output(states[l], inputs[l]);
   }
 }
 
@@ -83,24 +67,26 @@ void TestModel::visit_reachable(
   }
 }
 
+void TestModel::replay(const std::vector<std::vector<bool>>& steps,
+                       CoverageTracker& tracker) {
+  std::uint64_t at = reset_state();
+  tracker.visit_state(at);
+  for (const auto& bits : steps) {
+    const std::uint64_t input = pack_bits(bits);
+    const auto next = step(at, input);
+    if (!next.has_value()) {
+      throw std::domain_error("TestModel::replay: invalid input in sequence");
+    }
+    tracker.cover_transition(at, input);
+    at = *next;
+    tracker.visit_state(at);
+  }
+}
+
 CoverageStats TestModel::evaluate(const Tour& tour) {
   CoverageTracker tracker(count_reachable_states(),
                           count_reachable_transitions());
-  for (const auto& seq : tour.sequences) {
-    std::uint64_t at = reset_state();
-    tracker.visit_state(at);
-    for (const auto& in : seq) {
-      const std::uint64_t input = pack_bits(in);
-      const auto next = step(at, input);
-      if (!next.has_value()) {
-        throw std::domain_error(
-            "TestModel::evaluate: invalid input in tour");
-      }
-      tracker.cover_transition(at, input);
-      at = *next;
-      tracker.visit_state(at);
-    }
-  }
+  for (const auto& seq : tour.sequences) replay(seq, tracker);
   // An empty tour still starts at reset.
   if (tour.sequences.empty()) tracker.visit_state(reset_state());
   return tracker.stats();

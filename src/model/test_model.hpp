@@ -11,10 +11,14 @@
 //   * SymbolicModel (symbolic_model.hpp): wraps sym::SymbolicFsm, tours via
 //     src/sym's pre-image-layer driver.
 //
-// Both report coverage through the shared model::CoverageTracker, so
-// "state coverage" and "transition coverage" mean the same thing whichever
-// backend produced them, and core::run_campaign can pick the backend by
-// model size instead of truncating large state spaces.
+// Each primitive has one implementation. Transition tours come only
+// through tour_source(), as a stream. Coverage is defined once, by
+// replay(): every replayed account (evaluate(), the telemetry collector,
+// the hybrid seed phase, the explicit tour stream) runs it into a shared
+// model::CoverageTracker, so "state coverage" and "transition coverage"
+// mean the same thing whichever backend or source produced the sequences,
+// and core::run_campaign can pick the backend by model size instead of
+// truncating large state spaces.
 //
 // Keys: states and inputs are packed little-endian into 64-bit keys — the
 // latch / primary-input bit vectors for circuit-backed models, the dense
@@ -58,9 +62,6 @@ struct TourOptions {
   /// Hard cap on total walk length (symbolic backend; explicit generators
   /// always terminate).
   std::size_t max_steps = 10'000'000;
-  /// Record the concrete input vectors. Disable for very long tours when
-  /// only the coverage statistics are needed.
-  bool record_inputs = true;
 };
 
 struct TourResult {
@@ -92,8 +93,8 @@ class SequenceSource {
 };
 
 /// SequenceSource over an already materialized TourResult — the adapter
-/// behind TestModel::tour_source's default implementation and a handy
-/// wrapper for tests.
+/// for random walks and the explicit-only test sets (state tour, W-method),
+/// and a handy wrapper for tests.
 class MaterializedTourStream final : public SequenceSource {
  public:
   explicit MaterializedTourStream(TourResult result)
@@ -159,15 +160,11 @@ class TestModel {
   /// blocks of at most 64 so circuit-backed overrides can evaluate all
   /// lanes in one word-level network pass (sym::PackedCircuitSim). The
   /// base implementation loops over step(), so every backend answers
-  /// identically — batch entry points are a throughput contract, never a
+  /// identically — the batch entry point is a throughput contract, never a
   /// semantic one.
   virtual void step_batch(std::span<const std::uint64_t> states,
                           std::span<const std::uint64_t> inputs,
                           std::span<std::optional<std::uint64_t>> next);
-  /// Batch form of output(), same lane convention as step_batch().
-  virtual void output_batch(std::span<const std::uint64_t> states,
-                            std::span<const std::uint64_t> inputs,
-                            std::span<std::optional<std::uint64_t>> out);
 
   /// Little-endian PI bit vector of a packed input key (for concretization).
   [[nodiscard]] virtual std::vector<bool> input_vector(
@@ -178,19 +175,14 @@ class TestModel {
   /// transitions a tour must cover.
   [[nodiscard]] virtual double count_reachable_transitions() = 0;
 
-  /// Transition tour from reset, coverage accounted through a shared
-  /// CoverageTracker (identical definition across backends).
-  virtual TourResult transition_tour(const TourOptions& options = {}) = 0;
-
-  /// Streaming form of transition_tour: yields the identical sequences in
-  /// the identical order, one at a time. The base implementation simply
-  /// materializes transition_tour; ExplicitModel and SymbolicModel override
-  /// it with generators that produce sequences incrementally. This is the
+  /// Transition tour from reset, streamed one reset-separated sequence at a
+  /// time; its summary() accounts coverage through a CoverageTracker with
+  /// the replay() definition. This is the one tour entry point and the
   /// transition-tour strategy behind the SequenceSource seam — other
   /// strategies (biased-random, hybrid) live in src/gen and are selected
   /// through gen::open_sequence_source.
   virtual std::unique_ptr<SequenceSource> tour_source(
-      const TourOptions& options = {});
+      const TourOptions& options = {}) = 0;
 
   /// Random walk of `length` steps from reset (uniform over the valid
   /// inputs of the current state), deterministic in `seed`.
@@ -210,8 +202,15 @@ class TestModel {
       std::size_t max_states,
       const std::function<void(std::uint64_t state, const Edge& edge)>& visit);
 
-  /// Replays a tour from reset through a CoverageTracker. Throws
-  /// std::domain_error on an invalid input.
+  /// The coverage definition: visits the reset state, then covers and
+  /// visits each step of one reset-separated sequence (one PI bit vector
+  /// per step) in `tracker`. Throws std::domain_error on an input that is
+  /// invalid in its state.
+  void replay(const std::vector<std::vector<bool>>& steps,
+              CoverageTracker& tracker);
+
+  /// Replays every sequence of a tour into a fresh tracker over the
+  /// reachable totals. Throws std::domain_error on an invalid input.
   CoverageStats evaluate(const Tour& tour);
 
   /// Packs a little-endian bit vector into a key (at most 63 bits).

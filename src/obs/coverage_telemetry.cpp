@@ -52,20 +52,7 @@ CoverageTelemetryCollector::CoverageTelemetryCollector(model::TestModel& model,
 
 void CoverageTelemetryCollector::commit_sequence(
     const std::vector<std::vector<bool>>& steps) {
-  // Mirror TestModel::evaluate's accounting exactly, one sequence at a time.
-  std::uint64_t at = model_.reset_state();
-  tracker_.visit_state(at);
-  for (const auto& bits : steps) {
-    const std::uint64_t input = model::TestModel::pack_bits(bits);
-    const auto next = model_.step(at, input);
-    if (!next.has_value()) {
-      throw std::domain_error(
-          "CoverageTelemetryCollector: invalid input in committed sequence");
-    }
-    tracker_.cover_transition(at, input);
-    at = *next;
-    tracker_.visit_state(at);
-  }
+  model_.replay(steps, tracker_);
   ++committed_;
   curve_.add(CoveragePoint{committed_,
                            static_cast<std::uint64_t>(tracker_.states_visited()),

@@ -17,9 +17,8 @@
 //     or per mutant (Theorem-3 replay). Derived from the committed indices
 //     the Compare / MutantReplay stages already record.
 //
-// The collector replays each committed sequence through the TestModel into
-// its own hit-counting CoverageTracker, mirroring TestModel::evaluate's
-// accounting exactly. Replay (not the stream's tracker) is deliberate: a
+// The collector replays each committed sequence (TestModel::replay, the
+// one coverage definition) into its own hit-counting CoverageTracker. Replay (not the stream's tracker) is deliberate: a
 // store-replayed tour (store::StoredTourStream) has no live tracker, and a
 // resumed campaign restores verdicts without regenerating per-sequence
 // coverage — the replay path is the one account that is identical for
@@ -105,8 +104,7 @@ class CoverageTelemetryCollector {
                              std::size_t curve_budget = 512);
 
   /// Replays one committed sequence (one PI bit vector per step) through
-  /// the model from reset, exactly as TestModel::evaluate accounts it, and
-  /// appends one convergence point. Throws std::domain_error on an input
+  /// TestModel::replay and appends one convergence point. Throws std::domain_error on an input
   /// that is invalid in its state (committed sequences are valid by
   /// construction, so this indicates stream corruption).
   void commit_sequence(const std::vector<std::vector<bool>>& steps);

@@ -39,9 +39,8 @@ struct SequenceTrace {
 /// shared across threads.
 class CircuitReplayer {
  public:
-  /// Throws std::invalid_argument when the circuit declares a network input
-  /// that is neither a latch's current signal nor a primary input (the
-  /// SequentialCircuit contract).
+  /// Throws std::invalid_argument when the circuit breaks the
+  /// SequentialCircuit contract (SequentialCircuit::input_sources).
   explicit CircuitReplayer(const SequentialCircuit& circuit);
 
   [[nodiscard]] const SequentialCircuit& circuit() const { return *circuit_; }
@@ -56,9 +55,7 @@ class CircuitReplayer {
 
  private:
   const SequentialCircuit* circuit_;
-  /// Per network input: the latch (is_latch_) or primary-input index.
-  std::vector<std::uint32_t> source_index_;
-  std::vector<bool> is_latch_;
+  std::vector<SequentialCircuit::InputSource> sources_;
 };
 
 /// One-shot convenience over a throwaway CircuitReplayer.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_map>
 
 namespace simcov::sym {
 
@@ -100,56 +99,27 @@ void PackedLogicSim::eval_into(std::span<const std::uint64_t> input_words,
 // ---------------------------------------------------------------------------
 
 PackedCircuitSim::PackedCircuitSim(const SequentialCircuit& circuit)
-    : circuit_(&circuit), sim_(circuit.net) {
+    : circuit_(&circuit), sim_(circuit.net), sources_(circuit.input_sources()) {
   if (circuit.latches.size() > 63 || circuit.primary_inputs.size() > 63) {
     throw std::invalid_argument(
         "PackedCircuitSim: too many variables for packed 64-bit keys");
-  }
-  std::unordered_map<SignalId, std::uint32_t> latch_of, pi_of;
-  for (std::size_t j = 0; j < circuit.latches.size(); ++j) {
-    latch_of[circuit.latches[j].current] = static_cast<std::uint32_t>(j);
-  }
-  for (std::size_t k = 0; k < circuit.primary_inputs.size(); ++k) {
-    pi_of[circuit.primary_inputs[k]] = static_cast<std::uint32_t>(k);
-  }
-  const auto net_inputs = circuit.net.inputs();
-  source_index_.reserve(net_inputs.size());
-  is_latch_.reserve(net_inputs.size());
-  for (const SignalId s : net_inputs) {
-    if (const auto it = latch_of.find(s); it != latch_of.end()) {
-      is_latch_.push_back(true);
-      source_index_.push_back(it->second);
-    } else if (const auto pit = pi_of.find(s); pit != pi_of.end()) {
-      is_latch_.push_back(false);
-      source_index_.push_back(pit->second);
-    } else {
-      throw std::invalid_argument(
-          "PackedCircuitSim: network input is neither a latch nor a declared "
-          "primary input");
-    }
   }
 }
 
 std::uint64_t PackedCircuitSim::step(std::span<const std::uint64_t> states,
                                      std::span<const std::uint64_t> inputs,
-                                     std::span<std::uint64_t> next,
-                                     std::span<std::uint64_t> outputs) const {
+                                     std::span<std::uint64_t> next) const {
   const std::size_t lanes = states.size();
-  if (lanes > kLanes || inputs.size() != lanes || next.size() != lanes ||
-      (!outputs.empty() && outputs.size() != lanes)) {
+  if (lanes > kLanes || inputs.size() != lanes || next.size() != lanes) {
     throw std::invalid_argument("PackedCircuitSim::step: lane span mismatch");
   }
-  if (!outputs.empty() && circuit_->outputs.size() > 63) {
-    throw std::invalid_argument(
-        "PackedCircuitSim::step: too many outputs for a packed 64-bit key");
-  }
   // Transpose the per-lane keys into per-signal lane words: network input k
-  // gets bit L from bit source_index_[k] of lane L's state or input key.
-  input_words_.assign(source_index_.size(), 0);
-  for (std::size_t k = 0; k < source_index_.size(); ++k) {
-    const std::uint32_t bit = source_index_[k];
+  // gets bit L from bit sources_[k].index of lane L's state or input key.
+  input_words_.assign(sources_.size(), 0);
+  for (std::size_t k = 0; k < sources_.size(); ++k) {
+    const std::uint32_t bit = sources_[k].index;
     std::uint64_t word = 0;
-    if (is_latch_[k]) {
+    if (sources_[k].is_latch) {
       for (std::size_t l = 0; l < lanes; ++l) {
         word |= ((states[l] >> bit) & 1u) << l;
       }
@@ -175,15 +145,6 @@ std::uint64_t PackedCircuitSim::step(std::span<const std::uint64_t> states,
     const std::uint64_t word = values_[circuit_->latches[j].next];
     for (std::size_t l = 0; l < lanes; ++l) {
       next[l] |= ((word >> l) & 1u) << j;
-    }
-  }
-  if (!outputs.empty()) {
-    for (std::size_t l = 0; l < lanes; ++l) outputs[l] = 0;
-    for (std::size_t j = 0; j < circuit_->outputs.size(); ++j) {
-      const std::uint64_t word = values_[circuit_->outputs[j].second];
-      for (std::size_t l = 0; l < lanes; ++l) {
-        outputs[l] |= ((word >> l) & 1u) << j;
-      }
     }
   }
   return valid;

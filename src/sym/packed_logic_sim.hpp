@@ -13,7 +13,9 @@
 // PackedCircuitSim lifts the same trick to a SequentialCircuit: each lane
 // is an independent (state, input) pair in the packed 64-bit key encoding
 // of model::TestModel, so batch stepping 64 test-model sequences costs one
-// network pass instead of 64.
+// network pass instead of 64. Its callers are SymbolicModel::step_batch
+// (the packed coverage-telemetry replay) and the packed circuit-replay
+// stage of the external-circuit campaign path.
 #pragma once
 
 #include <cstdint>
@@ -66,28 +68,24 @@ class PackedCircuitSim {
   static constexpr std::size_t kLanes = PackedLogicSim::kLanes;
 
   /// The circuit must outlive the simulator. Throws std::invalid_argument
-  /// beyond 63 latches / primary inputs (the packed-key limit) or when a
-  /// network input is neither a latch's current signal nor a declared
-  /// primary input. Reading outputs additionally requires at most 63
-  /// output signals (checked per step() call, like SymbolicModel::output).
+  /// beyond 63 latches / primary inputs (the packed-key limit) or when the
+  /// circuit breaks the SequentialCircuit contract
+  /// (SequentialCircuit::input_sources).
   explicit PackedCircuitSim(const SequentialCircuit& circuit);
 
   /// Steps lanes [0, states.size()) once: lane L starts in state key
   /// states[L] and consumes input key inputs[L]. Returns the mask of lanes
   /// whose (state, input) satisfies the circuit's validity constraint;
-  /// next[L] and (when `outputs` is non-empty) outputs[L] are filled for
-  /// valid lanes only. Spans must agree in size (at most kLanes).
+  /// next[L] is meaningful for valid lanes only. Spans must agree in size
+  /// (at most kLanes).
   std::uint64_t step(std::span<const std::uint64_t> states,
                      std::span<const std::uint64_t> inputs,
-                     std::span<std::uint64_t> next,
-                     std::span<std::uint64_t> outputs = {}) const;
+                     std::span<std::uint64_t> next) const;
 
  private:
   const SequentialCircuit* circuit_;
   PackedLogicSim sim_;
-  /// Per network input: latch index (is_latch_) or primary-input index.
-  std::vector<std::uint32_t> source_index_;
-  std::vector<bool> is_latch_;
+  std::vector<SequentialCircuit::InputSource> sources_;
   mutable std::vector<std::uint64_t> input_words_;  // reused scratch
   mutable std::vector<std::uint64_t> values_;       // reused scratch
 };

@@ -8,45 +8,40 @@
 
 namespace simcov::sym {
 
-namespace {
-
-/// Maps every network input signal to its role (latch index or PI index) and
-/// validates that the circuit declares all inputs.
-struct InputRoles {
-  // For each network input position k: latch index or PI index.
-  std::vector<std::pair<bool /*is_latch*/, std::size_t>> role;
-
-  explicit InputRoles(const SequentialCircuit& c) {
-    const auto net_inputs = c.net.inputs();
-    std::map<SignalId, std::pair<bool, std::size_t>> by_signal;
-    for (std::size_t j = 0; j < c.latches.size(); ++j) {
-      by_signal[c.latches[j].current] = {true, j};
+std::vector<SequentialCircuit::InputSource> SequentialCircuit::input_sources()
+    const {
+  std::map<SignalId, InputSource> by_signal;
+  auto declare = [&](SignalId s, InputSource source) {
+    if (!by_signal.emplace(s, source).second) {
+      throw std::invalid_argument(
+          "SequentialCircuit: signal declared twice (latch or primary "
+          "input)");
     }
-    for (std::size_t k = 0; k < c.primary_inputs.size(); ++k) {
-      if (by_signal.count(c.primary_inputs[k]) != 0) {
-        throw std::invalid_argument(
-            "SequentialCircuit: signal is both latch and primary input");
-      }
-      by_signal[c.primary_inputs[k]] = {false, k};
-    }
-    role.reserve(net_inputs.size());
-    for (SignalId s : net_inputs) {
-      const auto it = by_signal.find(s);
-      if (it == by_signal.end()) {
-        throw std::invalid_argument(
-            "SequentialCircuit: undeclared network input (neither latch nor "
-            "primary input)");
-      }
-      role.push_back(it->second);
-    }
+  };
+  for (std::size_t j = 0; j < latches.size(); ++j) {
+    declare(latches[j].current, {true, static_cast<std::uint32_t>(j)});
   }
-};
-
-}  // namespace
+  for (std::size_t k = 0; k < primary_inputs.size(); ++k) {
+    declare(primary_inputs[k], {false, static_cast<std::uint32_t>(k)});
+  }
+  const auto net_inputs = net.inputs();
+  std::vector<InputSource> sources;
+  sources.reserve(net_inputs.size());
+  for (const SignalId s : net_inputs) {
+    const auto it = by_signal.find(s);
+    if (it == by_signal.end()) {
+      throw std::invalid_argument(
+          "SequentialCircuit: undeclared network input (neither latch nor "
+          "primary input)");
+    }
+    sources.push_back(it->second);
+  }
+  return sources;
+}
 
 SymbolicFsm::SymbolicFsm(bdd::BddManager& mgr, const SequentialCircuit& c)
     : mgr_(mgr) {
-  const InputRoles roles(c);
+  const auto sources = c.input_sources();
   const std::size_t num_pi = c.primary_inputs.size();
   const std::size_t num_latch = c.latches.size();
 
@@ -64,8 +59,8 @@ SymbolicFsm::SymbolicFsm(bdd::BddManager& mgr, const SequentialCircuit& c)
 
   // Symbolic inputs for the network.
   std::vector<bdd::Bdd> input_funcs;
-  input_funcs.reserve(roles.role.size());
-  for (const auto& [is_latch, index] : roles.role) {
+  input_funcs.reserve(sources.size());
+  for (const auto& [is_latch, index] : sources) {
     input_funcs.push_back(
         mgr_.var(is_latch ? ps_vars_[index] : pi_vars_[index]));
   }
@@ -115,6 +110,55 @@ SymbolicFsm::SymbolicFsm(bdd::BddManager& mgr, const SequentialCircuit& c)
 
 std::vector<bool> SymbolicFsm::initial_state_bits() const {
   return init_bits_;
+}
+
+std::uint64_t SymbolicFsm::initial_state_key() const {
+  std::uint64_t key = 0;
+  for (std::size_t j = 0; j < init_bits_.size(); ++j) {
+    if (init_bits_[j]) key |= std::uint64_t{1} << j;
+  }
+  return key;
+}
+
+bdd::Bdd SymbolicFsm::state_minterm(std::uint64_t state) {
+  std::vector<bool> bits(ps_vars_.size());
+  for (std::size_t j = 0; j < bits.size(); ++j) bits[j] = (state >> j) & 1u;
+  return mgr_.minterm(ps_vars_, bits);
+}
+
+std::uint64_t SymbolicFsm::eval_packed(std::span<const bdd::Bdd> funcs,
+                                       std::uint64_t state,
+                                       std::uint64_t input) {
+  // Keep the scratch sized to the manager: callers may evaluate functions
+  // built after later variable allocations.
+  if (assignment_.size() < mgr_.var_count()) {
+    assignment_.resize(mgr_.var_count(), false);
+  }
+  for (std::size_t j = 0; j < ps_vars_.size(); ++j) {
+    assignment_[ps_vars_[j]] = (state >> j) & 1u;
+  }
+  for (std::size_t k = 0; k < pi_vars_.size(); ++k) {
+    assignment_[pi_vars_[k]] = (input >> k) & 1u;
+  }
+  std::uint64_t out = 0;
+  for (std::size_t j = 0; j < funcs.size(); ++j) {
+    if (mgr_.eval(funcs[j], assignment_)) out |= std::uint64_t{1} << j;
+  }
+  return out;
+}
+
+std::vector<PackedEdge> SymbolicFsm::successors(std::uint64_t state) {
+  std::vector<PackedEdge> out;
+  const bdd::Bdd at_state = mgr_.constrain(valid_, state_minterm(state));
+  mgr_.for_each_minterm(at_state, pi_vars_, [&](const std::vector<bool>& in) {
+    std::uint64_t input = 0;
+    for (std::size_t k = 0; k < in.size(); ++k) {
+      if (in[k]) input |= std::uint64_t{1} << k;
+    }
+    out.push_back(PackedEdge{input, eval_packed(next_funcs_, state, input)});
+    return true;
+  });
+  return out;
 }
 
 bdd::Bdd SymbolicFsm::image(const bdd::Bdd& states) {
@@ -243,7 +287,7 @@ SymbolicFsm::InvariantResult SymbolicFsm::check_invariant(
 
 ExplicitModel extract_explicit(const SequentialCircuit& c,
                                std::size_t max_states) {
-  const InputRoles roles(c);
+  const auto sources = c.input_sources();
   const std::size_t num_pi = c.primary_inputs.size();
   const std::size_t num_latch = c.latches.size();
   if (num_pi > 24) {
@@ -272,9 +316,9 @@ ExplicitModel extract_explicit(const SequentialCircuit& c,
   // Pass 2 (concrete): BFS over latch-value vectors.
   auto net_input_vector = [&](const std::vector<bool>& state,
                               const std::vector<bool>& pi) {
-    std::vector<bool> v(roles.role.size());
-    for (std::size_t k = 0; k < roles.role.size(); ++k) {
-      const auto& [is_latch, index] = roles.role[k];
+    std::vector<bool> v(sources.size());
+    for (std::size_t k = 0; k < sources.size(); ++k) {
+      const auto& [is_latch, index] = sources[k];
       v[k] = is_latch ? state[index] : pi[index];
     }
     return v;

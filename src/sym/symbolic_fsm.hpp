@@ -38,6 +38,13 @@ struct SequentialCircuit {
     std::string name;
   };
 
+  /// Where one network input takes its value from: latch `index` (its
+  /// current-state signal) or primary input `index`.
+  struct InputSource {
+    bool is_latch = false;
+    std::uint32_t index = 0;
+  };
+
   LogicNetwork net;
   std::vector<Latch> latches;
   std::vector<SignalId> primary_inputs;
@@ -46,6 +53,20 @@ struct SequentialCircuit {
   /// where it evaluates 0 are invalid (the paper's input don't-cares).
   /// Default: none (all combinations valid).
   std::optional<SignalId> valid;
+
+  /// Resolves every network input, in network input order, to its source.
+  /// The one place the SequentialCircuit contract is checked: throws
+  /// std::invalid_argument when a signal is declared twice (as two latches,
+  /// two primary inputs, or both) or when a network input is undeclared.
+  [[nodiscard]] std::vector<InputSource> input_sources() const;
+};
+
+/// A valid (input, successor) pair out of a packed state: latch j is bit j
+/// of a state key and primary input k is bit k of an input key — the
+/// packing model::TestModel uses.
+struct PackedEdge {
+  std::uint64_t input = 0;
+  std::uint64_t next = 0;
 };
 
 struct SymbolicFsmStats {
@@ -136,6 +157,21 @@ class SymbolicFsm {
   /// Reset-state latch values.
   [[nodiscard]] std::vector<bool> initial_state_bits() const;
 
+  // ---- Packed-key evaluation (at most 63 latches and primary inputs) ------
+
+  /// Reset state as a packed key.
+  [[nodiscard]] std::uint64_t initial_state_key() const;
+  /// Characteristic function of one packed state (over present-state vars).
+  [[nodiscard]] bdd::Bdd state_minterm(std::uint64_t state);
+  /// Evaluates each of `funcs` (over ps and pi vars) at the packed point
+  /// (state, input) and packs the values: bit j is funcs[j]. At most 64.
+  [[nodiscard]] std::uint64_t eval_packed(std::span<const bdd::Bdd> funcs,
+                                          std::uint64_t state,
+                                          std::uint64_t input);
+  /// Every valid (input, successor) pair out of a packed state, in the
+  /// order BddManager::for_each_minterm enumerates the valid inputs.
+  [[nodiscard]] std::vector<PackedEdge> successors(std::uint64_t state);
+
  private:
   bdd::BddManager& mgr_;
   std::vector<unsigned> pi_vars_, ps_vars_, ns_vars_;
@@ -148,6 +184,7 @@ class SymbolicFsm {
   bool reached_valid_ = false;
   unsigned iters_ = 0;
   std::vector<bool> init_bits_;
+  std::vector<bool> assignment_;  // eval_packed scratch, indexed by var id
 };
 
 /// Explicit extraction of the (reachable part of the) circuit as a Mealy

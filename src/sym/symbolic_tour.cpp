@@ -28,7 +28,6 @@ struct SymbolicTourStream::Impl {
       throw std::invalid_argument(
           "symbolic_transition_tour: too many variables for packed keys");
     }
-    assignment_.assign(mgr_.var_count(), false);
 
     const bdd::Bdd reached = fsm_.reachable_states();
     transitions_total_ = fsm_.count_transitions(reached);
@@ -44,7 +43,7 @@ struct SymbolicTourStream::Impl {
     uncovered_states_ =
         reached & mgr_.exists(fsm_.valid_inputs(), mgr_.cube(pi_vec));
 
-    state_ = pack_bits(fsm_.initial_state_bits());
+    state_ = fsm_.initial_state_key();
     tracker_->visit_state(state_);
   }
 
@@ -74,7 +73,7 @@ struct SymbolicTourStream::Impl {
         // No path to an uncovered transition from here: reset and yield the
         // sequence that just ended.
         ++restarts_;
-        state_ = pack_bits(fsm_.initial_state_bits());
+        state_ = fsm_.initial_state_key();
         return seq;
       }
       if (options_.record_inputs) {
@@ -107,23 +106,11 @@ struct SymbolicTourStream::Impl {
   }
 
  private:
-  struct Edge {
-    std::uint64_t input;
-    std::uint64_t next;
-  };
   struct StateInfo {
-    std::vector<Edge> edges;
+    std::vector<PackedEdge> edges;  // minterm order
     std::size_t cursor = 0;
   };
 
-  // ---- packing -------------------------------------------------------------
-  static std::uint64_t pack_bits(const std::vector<bool>& bits) {
-    std::uint64_t key = 0;
-    for (std::size_t j = 0; j < bits.size(); ++j) {
-      if (bits[j]) key |= std::uint64_t{1} << j;
-    }
-    return key;
-  }
   std::vector<bool> unpack_input(std::uint64_t input) const {
     std::vector<bool> bits(num_pis_);
     for (std::size_t k = 0; k < num_pis_; ++k) {
@@ -132,50 +119,16 @@ struct SymbolicTourStream::Impl {
     return bits;
   }
 
-  void load_assignment(std::uint64_t state, std::uint64_t input) {
-    for (std::size_t j = 0; j < num_latches_; ++j) {
-      assignment_[fsm_.ps_var(j)] = (state >> j) & 1u;
-    }
-    for (std::size_t k = 0; k < num_pis_; ++k) {
-      assignment_[fsm_.pi_var(k)] = (input >> k) & 1u;
-    }
-  }
-
-  bdd::Bdd state_minterm(std::uint64_t state) {
-    std::vector<bool> bits(num_latches_);
-    for (std::size_t j = 0; j < num_latches_; ++j) {
-      bits[j] = (state >> j) & 1u;
-    }
-    return mgr_.minterm(fsm_.ps_vars(), bits);
-  }
-
   /// Enumerates (valid input, successor) pairs of a state, once.
   StateInfo& state_info(std::uint64_t state) {
     const auto it = cache_.find(state);
     if (it != cache_.end()) return it->second;
-    StateInfo info;
-    const bdd::Bdd at_state =
-        mgr_.constrain(fsm_.valid_inputs(), state_minterm(state));
-    const auto& funcs = fsm_.next_functions();
-    mgr_.for_each_minterm(
-        at_state, fsm_.pi_vars(), [&](const std::vector<bool>& in) {
-          const std::uint64_t input = pack_bits(in);
-          load_assignment(state, input);
-          std::uint64_t next = 0;
-          for (std::size_t j = 0; j < num_latches_; ++j) {
-            if (mgr_.eval(funcs[j], assignment_)) {
-              next |= std::uint64_t{1} << j;
-            }
-          }
-          info.edges.push_back(Edge{input, next});
-          return true;
-        });
-    return cache_.emplace(state, std::move(info)).first->second;
+    return cache_.emplace(state, StateInfo{fsm_.successors(state)})
+        .first->second;
   }
 
   bool eval_at_state(const bdd::Bdd& f, std::uint64_t state) {
-    load_assignment(state, 0);
-    return mgr_.eval(f, assignment_);
+    return fsm_.eval_packed({&f, 1}, state, 0) != 0;
   }
 
   // ---- navigation ----------------------------------------------------------
@@ -183,7 +136,7 @@ struct SymbolicTourStream::Impl {
     if (pending_exhausted_.empty()) return;
     bdd::Bdd gone = mgr_.zero();
     for (const std::uint64_t s : pending_exhausted_) {
-      gone |= state_minterm(s);
+      gone |= fsm_.state_minterm(s);
     }
     uncovered_states_ &= !gone;
     pending_exhausted_.clear();
@@ -213,7 +166,7 @@ struct SymbolicTourStream::Impl {
   /// Picks the edge stepping one layer closer to the uncovered set.
   bool descend(const StateInfo& info, std::size_t target_layer,
                std::uint64_t& input_out, std::uint64_t& next_out) {
-    for (const Edge& e : info.edges) {
+    for (const PackedEdge& e : info.edges) {
       if (eval_at_state(layers_[target_layer], e.next)) {
         input_out = e.input;
         next_out = e.next;
@@ -245,7 +198,6 @@ struct SymbolicTourStream::Impl {
   const std::size_t num_pis_;
 
   std::uint64_t state_ = 0;
-  std::vector<bool> assignment_;
   std::unordered_map<std::uint64_t, StateInfo> cache_;
   std::vector<std::uint64_t> pending_exhausted_;
   std::size_t covered_count_ = 0;

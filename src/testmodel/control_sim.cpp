@@ -1,10 +1,33 @@
 #include "testmodel/control_sim.hpp"
 
+#include <cstdint>
 #include <stdexcept>
 
 namespace simcov::testmodel {
 
-std::vector<InputRole> classify_network_inputs(const BuiltTestModel& model) {
+/// How one network input of a built control model is driven: either from a
+/// latch (by latch index) or from a field of the decoded ControlInput.
+struct ControlModelSim::InputRole {
+  enum class Pi : std::uint8_t {
+    kOpBit, kRs1Bit, kRs2Bit, kRdBit, kBranchOutcome, kInstrValid,
+  };
+  bool is_latch = false;
+  std::size_t latch_index = 0;  ///< when is_latch
+  Pi pi_kind = Pi::kOpBit;
+  unsigned pi_bit = 0;
+
+  /// Classifies every network input of the model's circuit, in network
+  /// input order, by latch signal id or primary-input name. Throws
+  /// std::logic_error on an unmapped primary-input name.
+  static std::vector<InputRole> classify(const BuiltTestModel& model);
+
+  /// Value a non-latch role takes for the decoded input `in`. `onehot`
+  /// follows TestModelOptions::onehot_opclass.
+  [[nodiscard]] bool pi_value(const ControlInput& in, bool onehot) const;
+};
+
+std::vector<ControlModelSim::InputRole> ControlModelSim::InputRole::classify(
+    const BuiltTestModel& model) {
   const auto& c = model.circuit;
   // Classify every network input as latch or primary input, by signal id.
   std::map<sym::SignalId, std::size_t> latch_of;
@@ -57,22 +80,22 @@ std::vector<InputRole> classify_network_inputs(const BuiltTestModel& model) {
   return roles;
 }
 
-bool role_pi_value(const InputRole& role, const ControlInput& in,
-                   bool onehot) {
+bool ControlModelSim::InputRole::pi_value(const ControlInput& in,
+                                          bool onehot) const {
   const unsigned cls_value = static_cast<unsigned>(in.cls);
-  switch (role.pi_kind) {
-    case InputRole::Pi::kOpBit:
-      return onehot ? (role.pi_bit == cls_value)
-                    : (((cls_value >> role.pi_bit) & 1u) != 0);
-    case InputRole::Pi::kRs1Bit:
-      return ((in.rs1 >> role.pi_bit) & 1u) != 0;
-    case InputRole::Pi::kRs2Bit:
-      return ((in.rs2 >> role.pi_bit) & 1u) != 0;
-    case InputRole::Pi::kRdBit:
-      return ((in.rd >> role.pi_bit) & 1u) != 0;
-    case InputRole::Pi::kBranchOutcome:
+  switch (pi_kind) {
+    case Pi::kOpBit:
+      return onehot ? (pi_bit == cls_value)
+                    : (((cls_value >> pi_bit) & 1u) != 0);
+    case Pi::kRs1Bit:
+      return ((in.rs1 >> pi_bit) & 1u) != 0;
+    case Pi::kRs2Bit:
+      return ((in.rs2 >> pi_bit) & 1u) != 0;
+    case Pi::kRdBit:
+      return ((in.rd >> pi_bit) & 1u) != 0;
+    case Pi::kBranchOutcome:
       return in.branch_outcome;
-    case InputRole::Pi::kInstrValid:
+    case Pi::kInstrValid:
       return in.instr_valid;
   }
   return false;
@@ -80,13 +103,15 @@ bool role_pi_value(const InputRole& role, const ControlInput& in,
 
 ControlModelSim::ControlModelSim(const BuiltTestModel& model) : model_(model) {
   const auto& c = model_.circuit;
-  roles_ = classify_network_inputs(model_);
+  roles_ = InputRole::classify(model_);
   for (std::size_t k = 0; k < c.outputs.size(); ++k) {
     output_index_[c.outputs[k].first] = k;
   }
   input_scratch_.assign(roles_.size(), false);
   reset();
 }
+
+ControlModelSim::~ControlModelSim() = default;
 
 void ControlModelSim::reset() {
   latches_.assign(model_.circuit.latches.size(), false);
@@ -100,9 +125,9 @@ void ControlModelSim::fill_network_inputs(const ControlInput& in) const {
   const bool onehot = model_.options.onehot_opclass;
   for (std::size_t k = 0; k < roles_.size(); ++k) {
     const InputRole& role = roles_[k];
-    input_scratch_[k] = role.is_latch ? static_cast<bool>(
-                                            latches_[role.latch_index])
-                                      : role_pi_value(role, in, onehot);
+    input_scratch_[k] = role.is_latch
+                            ? static_cast<bool>(latches_[role.latch_index])
+                            : role.pi_value(in, onehot);
   }
 }
 

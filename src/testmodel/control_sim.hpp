@@ -7,7 +7,6 @@
 // resolution happens once, in the constructor).
 #pragma once
 
-#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -28,33 +27,10 @@ struct ControlInput {
   bool instr_valid = true;  ///< only meaningful with a fetch controller
 };
 
-/// How one network input of a built control model is driven: either from a
-/// latch (by latch index) or from a field of the decoded ControlInput.
-/// Shared between the scalar ControlModelSim and the 64-lane
-/// PackedControlModelSim so the two fill network inputs identically.
-struct InputRole {
-  enum class Pi : std::uint8_t {
-    kOpBit, kRs1Bit, kRs2Bit, kRdBit, kBranchOutcome, kInstrValid,
-  };
-  bool is_latch = false;
-  std::size_t latch_index = 0;  ///< when is_latch
-  Pi pi_kind = Pi::kOpBit;
-  unsigned pi_bit = 0;
-};
-
-/// Classifies every network input of the model's circuit, in network input
-/// order, by latch signal id or primary-input name. Throws std::logic_error
-/// on an unmapped primary-input name.
-std::vector<InputRole> classify_network_inputs(const BuiltTestModel& model);
-
-/// Value a non-latch role takes for the decoded input `in`. `onehot`
-/// follows TestModelOptions::onehot_opclass.
-[[nodiscard]] bool role_pi_value(const InputRole& role, const ControlInput& in,
-                                 bool onehot);
-
 class ControlModelSim {
  public:
   explicit ControlModelSim(const BuiltTestModel& model);
+  ~ControlModelSim();
 
   /// Evaluates the input constraint for `in` against the *current* state.
   [[nodiscard]] bool input_valid(const ControlInput& in) const;
@@ -83,6 +59,9 @@ class ControlModelSim {
   }
 
  private:
+  /// How one network input is driven: a latch or a ControlInput field.
+  struct InputRole;
+
   void fill_network_inputs(const ControlInput& in) const;
 
   const BuiltTestModel& model_;

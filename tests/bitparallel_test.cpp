@@ -7,8 +7,7 @@
 // of fewer than 64 lanes) for:
 //
 //   * sym::PackedLogicSim            vs LogicNetwork::eval_into
-//   * model step_batch/output_batch  vs scalar step/output (both backends)
-//   * testmodel::PackedControlModelSim vs ControlModelSim
+//   * model step_batch               vs scalar step (both backends)
 //   * errmodel::PackedMutantBlock    vs scalar exposes()
 //   * MutantCoverageOptions::packed  vs the scalar replay loop
 //   * CampaignOptions::packed        vs the scalar campaign (byte-identical
@@ -28,8 +27,6 @@
 #include "model/explicit_model.hpp"
 #include "model/symbolic_model.hpp"
 #include "sym/packed_logic_sim.hpp"
-#include "testmodel/control_sim.hpp"
-#include "testmodel/packed_control_sim.hpp"
 #include "testmodel/testmodel.hpp"
 #include "tour/tour.hpp"
 
@@ -175,12 +172,10 @@ void expect_batch_matches_scalar(model::TestModel& model, std::size_t count,
   random_keys(rng, model.state_bits(), model.input_bits(), count, states,
               inputs);
 
-  std::vector<std::optional<std::uint64_t>> next(count), out(count);
+  std::vector<std::optional<std::uint64_t>> next(count);
   model.step_batch(states, inputs, next);
-  model.output_batch(states, inputs, out);
   for (std::size_t i = 0; i < count; ++i) {
     ASSERT_EQ(next[i], model.step(states[i], inputs[i])) << "pair " << i;
-    ASSERT_EQ(out[i], model.output(states[i], inputs[i])) << "pair " << i;
   }
 }
 
@@ -210,73 +205,6 @@ TEST(BatchStepping, MismatchedSpansThrow) {
   std::vector<std::uint64_t> states(4, 0), inputs(3, 0);
   std::vector<std::optional<std::uint64_t>> next(4);
   EXPECT_THROW(model.step_batch(states, inputs, next), std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------------
-// PackedControlModelSim vs ControlModelSim
-// ---------------------------------------------------------------------------
-
-testmodel::ControlInput random_control_input(std::mt19937_64& rng,
-                                             unsigned reg_addr_bits) {
-  static constexpr dlx::OpClass kClasses[] = {
-      dlx::OpClass::kNop,  dlx::OpClass::kAlu,    dlx::OpClass::kAluImm,
-      dlx::OpClass::kLoad, dlx::OpClass::kStore,  dlx::OpClass::kBranch,
-  };
-  testmodel::ControlInput in;
-  in.cls = kClasses[rng() % std::size(kClasses)];
-  const unsigned mask = (1u << reg_addr_bits) - 1;
-  in.rs1 = static_cast<unsigned>(rng()) & mask;
-  in.rs2 = static_cast<unsigned>(rng()) & mask;
-  in.rd = static_cast<unsigned>(rng()) & mask;
-  in.branch_outcome = (rng() & 1) != 0;
-  in.instr_valid = true;
-  return in;
-}
-
-TEST(PackedControlSim, MatchesScalarControlSimLaneForLane) {
-  const auto opt = tiny_model_options();
-  const auto built = testmodel::build_dlx_control_model(opt);
-  constexpr std::size_t kTestLanes = 37;  // deliberately a partial block
-  constexpr std::size_t kSteps = 40;
-
-  std::vector<testmodel::ControlModelSim> scalars;
-  scalars.reserve(kTestLanes);
-  for (std::size_t l = 0; l < kTestLanes; ++l) scalars.emplace_back(built);
-  testmodel::PackedControlModelSim packed(built);
-  packed.reset();
-
-  std::mt19937_64 rng(23);
-  std::vector<testmodel::ControlInput> lane_inputs(kTestLanes);
-  for (std::size_t step = 0; step < kSteps; ++step) {
-    for (std::size_t l = 0; l < kTestLanes; ++l) {
-      // Draw until valid for this lane's current state, so neither
-      // simulator throws and the walks stay in lockstep.
-      do {
-        lane_inputs[l] = random_control_input(rng, opt.reg_addr_bits);
-      } while (!scalars[l].input_valid(lane_inputs[l]));
-    }
-    packed.step(lane_inputs);
-    for (std::size_t l = 0; l < kTestLanes; ++l) {
-      scalars[l].step_fast(lane_inputs[l]);
-      const auto& latches = scalars[l].latch_values();
-      for (std::size_t j = 0; j < latches.size(); ++j) {
-        ASSERT_EQ(packed.latch(l, j), latches[j])
-            << "step=" << step << " lane=" << l << " latch=" << j;
-      }
-    }
-  }
-  // Output words agree with the scalar sims' last outputs, by index.
-  const auto& one = scalars.front();
-  const std::size_t num_outputs = built.num_outputs;
-  for (std::size_t k = 0; k < num_outputs; ++k) {
-    for (std::size_t l = 0; l < kTestLanes; ++l) {
-      ASSERT_EQ(packed.out_at(l, k), scalars[l].out_at(k))
-          << "lane=" << l << " output=" << k;
-    }
-  }
-  // Name resolution agrees between the two simulators.
-  (void)one;
-  EXPECT_EQ(packed.output_index("stall"), one.output_index("stall"));
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 // Unit tests for the coverage-directed sequence generators (src/gen) and
 // the pluggable SequenceSource seam they plug into: determinism per
 // (seed, spec), budget/termination behaviour, hybrid seed-phase
-// truncation and factory dispatch.
+// truncation, factory dispatch, and the one coverage definition every
+// source's summary shares with TestModel::evaluate.
 #include "gen/generators.hpp"
 
 #include <gtest/gtest.h>
@@ -9,8 +10,12 @@
 #include <vector>
 
 #include "fsm/mealy.hpp"
+#include "model/encode.hpp"
 #include "model/explicit_model.hpp"
+#include "model/symbolic_model.hpp"
 #include "pipeline/stages.hpp"
+#include "sym/symbolic_fsm.hpp"
+#include "testmodel/testmodel.hpp"
 
 namespace simcov {
 namespace {
@@ -192,6 +197,69 @@ TEST(OpenSequenceSource, DispatchesOnKind) {
     ASSERT_NE(source, nullptr);
     EXPECT_TRUE(source->next_sequence().has_value());
   }
+}
+
+// ---------------------------------------------------------------------------
+// One coverage definition: every source's summary is the replay of what it
+// yielded
+// ---------------------------------------------------------------------------
+
+/// Drains `source` and checks that its summary coverage is exactly what
+/// TestModel::evaluate reports for the sequences it yielded. Each source
+/// keeps its own tracker while it generates; this pins that every one of
+/// them counts states and transitions the way the model's replay does.
+void expect_summary_is_replay(model::TestModel& model,
+                              model::SequenceSource& source) {
+  model::Tour yielded;
+  yielded.sequences = drain(source);
+  EXPECT_EQ(source.summary().coverage, model.evaluate(yielded));
+}
+
+/// Every source the pipeline can open on `model`: the transition tour, the
+/// biased and hybrid generators, and the materialized random walk.
+void expect_every_source_is_replay(model::TestModel& model) {
+  SCOPED_TRACE(model::backend_name(model.backend()));
+  auto biased = biased_spec();
+  biased.max_walk_steps = 600;
+  auto hybrid = biased;
+  hybrid.kind = model::GeneratorKind::kHybrid;
+  hybrid.hybrid_tour_steps = 300;
+  for (const auto& spec : {model::GeneratorSpec{}, biased, hybrid}) {
+    SCOPED_TRACE(model::generator_kind_name(spec.kind));
+    auto source = gen::open_sequence_source(model, spec, 5);
+    expect_summary_is_replay(model, *source);
+  }
+  SCOPED_TRACE("random walk");
+  model::MaterializedTourStream walk(model.random_walk(500, 9));
+  expect_summary_is_replay(model, walk);
+}
+
+TEST(SourceCoverage, EverySourceSummaryIsTheReplayOfItsSequences) {
+  // Bare machine: keys are the dense ids on both backends.
+  const auto machine = fsm::random_connected_machine(30, 3, 4, 13);
+  model::ExplicitModel explicit_model(machine, 0);
+  const auto circuit = model::encode_circuit(machine, 0);
+  model::SymbolicModel symbolic_model(circuit);
+  expect_every_source_is_replay(explicit_model);
+  expect_every_source_is_replay(symbolic_model);
+}
+
+TEST(SourceCoverage, CircuitKeyedModelsSummarizeTheirReplayToo) {
+  // Extracted circuit: keys are packed latch / PI bits, not dense ids.
+  testmodel::TestModelOptions opt;
+  opt.output_sync_latches = false;
+  opt.fetch_controller = false;
+  opt.aux_outputs = false;
+  opt.onehot_opclass = false;
+  opt.interlock_registers = false;
+  opt.reg_addr_bits = 1;
+  opt.reduced_isa = true;
+  const auto built = testmodel::build_dlx_control_model(opt);
+  model::ExplicitModel explicit_model(
+      sym::extract_explicit(built.circuit, 1u << 16));
+  model::SymbolicModel symbolic_model(built.circuit);
+  expect_every_source_is_replay(explicit_model);
+  expect_every_source_is_replay(symbolic_model);
 }
 
 TEST(GeneratorSpec, ParsingAndNames) {

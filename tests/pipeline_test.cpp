@@ -102,8 +102,10 @@ TEST(TourStreaming, GeneratorMatchesMaterializedTourSet) {
 
 TEST(TourStreaming, ExplicitStreamMatchesMaterializedTour) {
   const auto m = fsm::random_connected_machine(30, 2, 4, 5);
+  const auto set = tour::greedy_transition_tour_set(m, 0);
+  ASSERT_TRUE(set.has_value());
   model::ExplicitModel materialized(m, 0);
-  const auto full = materialized.transition_tour();
+  const auto full = materialized.to_result(*set);
 
   model::ExplicitModel streamed_model(m, 0);
   auto stream = streamed_model.tour_source();
@@ -939,6 +941,56 @@ TEST(PipelineGolden, SymbolicTourUnchangedByDynamicReordering) {
     EXPECT_EQ(semantic_fingerprint(result), kGoldenSymbolicTour)
         << "threads=" << threads;
   }
+}
+
+// Captured before the coverage replays, tour entry points and circuit-input
+// resolvers were merged into one implementation each. These pin the three
+// campaign shapes the merge touches that the goldens above do not: the
+// telemetry replay over an explicit tour, the hybrid generator's
+// seed-then-walk replay, and the telemetry replay over the symbolic tour
+// stream.
+constexpr const char* kGoldenExplicitTourTelemetry =
+    R"json({"report":"campaign","model":{"backend":"explicit","latches":21,"primary_inputs":8,"states":1024,"transitions":21508},"test_set":{"sequences":19,"steps":40678,"instructions":39401,"state_coverage":1,"transition_coverage":1},"clean_pass":true,"bugs_exposed":3,"runs_inconclusive":0,"total_impl_cycles":42783,"clean_runs":[{"sequence":0,"impl_cycles":39631,"checkpoints":35261,"passed":true,"budget_exhausted":false},{"sequence":1,"impl_cycles":6,"checkpoints":2,"passed":true,"budget_exhausted":false},{"sequence":2,"impl_cycles":6,"checkpoints":2,"passed":true,"budget_exhausted":false},{"sequence":3,"impl_cycles":6,"checkpoints":2,"passed":true,"budget_exhausted":false},{"sequence":4,"impl_cycles":6,"checkpoints":2,"passed":true,"budget_exhausted":false},{"sequence":5,"impl_cycles":6,"checkpoints":2,"passed":true,"budget_exhausted":false},{"sequence":6,"impl_cycles":6,"checkpoints":2,"passed":true,"budget_exhausted":false},{"sequence":7,"impl_cycles":6,"checkpoints":2,"passed":true,"budget_exhausted":false},{"sequence":8,"impl_cycles":6,"checkpoints":2,"passed":true,"budget_exhausted":false},{"sequence":9,"impl_cycles":6,"checkpoints":2,"passed":true,"budget_exhausted":false},{"sequence":10,"impl_cycles":6,"checkpoints":2,"passed":true,"budget_exhausted":false},{"sequence":11,"impl_cycles":6,"checkpoints":2,"passed":true,"budget_exhausted":false},{"sequence":12,"impl_cycles":6,"checkpoints":2,"passed":true,"budget_exhausted":false},{"sequence":13,"impl_cycles":6,"checkpoints":2,"passed":true,"budget_exhausted":false},{"sequence":14,"impl_cycles":6,"checkpoints":2,"passed":true,"budget_exhausted":false},{"sequence":15,"impl_cycles":6,"checkpoints":2,"passed":true,"budget_exhausted":false},{"sequence":16,"impl_cycles":6,"checkpoints":2,"passed":true,"budget_exhausted":false},{"sequence":17,"impl_cycles":6,"checkpoints":2,"passed":true,"budget_exhausted":false},{"sequence":18,"impl_cycles":6,"checkpoints":2,"passed":true,"budget_exhausted":false}],"exposures":[{"bug":"missing load-use interlock","exposed":true,"programs_run":1,"impl_cycles":586,"budget_exhausted":false,"exposing_sequence":0},{"bug":"no EX/MEM bypass (A)","exposed":true,"programs_run":1,"impl_cycles":1050,"budget_exhausted":false,"exposing_sequence":0},{"bug":"no squash on taken branch","exposed":true,"programs_run":1,"impl_cycles":1408,"budget_exhausted":false,"exposing_sequence":0}],"timings":{"model_build_seconds":0,"symbolic_seconds":0,"tour_seconds":0,"concretize_seconds":0,"simulate_seconds":0,"total_seconds":0},"coverage_telemetry":{"curve_budget":512,"convergence":[{"sequence":1,"states_visited":1024,"transitions_covered":21490},{"sequence":2,"states_visited":1024,"transitions_covered":21491},{"sequence":3,"states_visited":1024,"transitions_covered":21492},{"sequence":4,"states_visited":1024,"transitions_covered":21493},{"sequence":5,"states_visited":1024,"transitions_covered":21494},{"sequence":6,"states_visited":1024,"transitions_covered":21495},{"sequence":7,"states_visited":1024,"transitions_covered":21496},{"sequence":8,"states_visited":1024,"transitions_covered":21497},{"sequence":9,"states_visited":1024,"transitions_covered":21498},{"sequence":10,"states_visited":1024,"transitions_covered":21499},{"sequence":11,"states_visited":1024,"transitions_covered":21500},{"sequence":12,"states_visited":1024,"transitions_covered":21501},{"sequence":13,"states_visited":1024,"transitions_covered":21502},{"sequence":14,"states_visited":1024,"transitions_covered":21503},{"sequence":15,"states_visited":1024,"transitions_covered":21504},{"sequence":16,"states_visited":1024,"transitions_covered":21505},{"sequence":17,"states_visited":1024,"transitions_covered":21506},{"sequence":18,"states_visited":1024,"transitions_covered":21507},{"sequence":19,"states_visited":1024,"transitions_covered":21508}],"transition_hits":{"distinct":21508,"max_hits":362,"histogram":[0,18096,1563,1249,418,136,27,5,5,9]},"bug_exposure_latency":[{"exposed":true,"sequences":1},{"exposed":true,"sequences":1},{"exposed":true,"sequences":1}]}})json";
+constexpr const char* kGoldenHybrid =
+    R"json({"report":"campaign","model":{"backend":"explicit","latches":21,"primary_inputs":8,"states":1024,"transitions":21508},"test_set":{"sequences":9,"steps":384,"instructions":373,"state_coverage":0.2509765625,"transition_coverage":0.01776083317835224},"clean_pass":true,"bugs_exposed":3,"runs_inconclusive":0,"total_impl_cycles":913,"clean_runs":[{"sequence":0,"impl_cycles":133,"checkpoints":129,"passed":true,"budget_exhausted":false},{"sequence":1,"impl_cycles":35,"checkpoints":26,"passed":true,"budget_exhausted":false},{"sequence":2,"impl_cycles":36,"checkpoints":28,"passed":true,"budget_exhausted":false},{"sequence":3,"impl_cycles":37,"checkpoints":30,"passed":true,"budget_exhausted":false},{"sequence":4,"impl_cycles":34,"checkpoints":28,"passed":true,"budget_exhausted":false},{"sequence":5,"impl_cycles":36,"checkpoints":28,"passed":true,"budget_exhausted":false},{"sequence":6,"impl_cycles":37,"checkpoints":28,"passed":true,"budget_exhausted":false},{"sequence":7,"impl_cycles":37,"checkpoints":25,"passed":true,"budget_exhausted":false},{"sequence":8,"impl_cycles":37,"checkpoints":29,"passed":true,"budget_exhausted":false}],"exposures":[{"bug":"missing load-use interlock","exposed":true,"programs_run":2,"impl_cycles":159,"budget_exhausted":false,"exposing_sequence":1},{"bug":"no EX/MEM bypass (A)","exposed":true,"programs_run":2,"impl_cycles":164,"budget_exhausted":false,"exposing_sequence":1},{"bug":"no squash on taken branch","exposed":true,"programs_run":2,"impl_cycles":168,"budget_exhausted":false,"exposing_sequence":1}],"timings":{"model_build_seconds":0,"symbolic_seconds":0,"tour_seconds":0,"concretize_seconds":0,"simulate_seconds":0,"total_seconds":0},"generator":{"kind":"hybrid","sequence_length":32,"max_walk_steps":256,"bias_strength":4,"hybrid_tour_steps":128}})json";
+constexpr const char* kGoldenSymbolicTourTelemetry =
+    R"json({"report":"campaign","model":{"backend":"symbolic","latches":21,"primary_inputs":8,"states":1024,"transitions":21508},"test_set":{"sequences":19,"steps":41497,"instructions":40220,"state_coverage":1,"transition_coverage":1},"clean_pass":true,"bugs_exposed":3,"runs_inconclusive":0,"total_impl_cycles":43608,"clean_runs":[{"sequence":0,"impl_cycles":40460,"checkpoints":36080,"passed":true,"budget_exhausted":false},{"sequence":1,"impl_cycles":6,"checkpoints":2,"passed":true,"budget_exhausted":false},{"sequence":2,"impl_cycles":6,"checkpoints":2,"passed":true,"budget_exhausted":false},{"sequence":3,"impl_cycles":6,"checkpoints":2,"passed":true,"budget_exhausted":false},{"sequence":4,"impl_cycles":6,"checkpoints":2,"passed":true,"budget_exhausted":false},{"sequence":5,"impl_cycles":6,"checkpoints":2,"passed":true,"budget_exhausted":false},{"sequence":6,"impl_cycles":6,"checkpoints":2,"passed":true,"budget_exhausted":false},{"sequence":7,"impl_cycles":6,"checkpoints":2,"passed":true,"budget_exhausted":false},{"sequence":8,"impl_cycles":6,"checkpoints":2,"passed":true,"budget_exhausted":false},{"sequence":9,"impl_cycles":6,"checkpoints":2,"passed":true,"budget_exhausted":false},{"sequence":10,"impl_cycles":6,"checkpoints":2,"passed":true,"budget_exhausted":false},{"sequence":11,"impl_cycles":6,"checkpoints":2,"passed":true,"budget_exhausted":false},{"sequence":12,"impl_cycles":6,"checkpoints":2,"passed":true,"budget_exhausted":false},{"sequence":13,"impl_cycles":6,"checkpoints":2,"passed":true,"budget_exhausted":false},{"sequence":14,"impl_cycles":6,"checkpoints":2,"passed":true,"budget_exhausted":false},{"sequence":15,"impl_cycles":6,"checkpoints":2,"passed":true,"budget_exhausted":false},{"sequence":16,"impl_cycles":6,"checkpoints":2,"passed":true,"budget_exhausted":false},{"sequence":17,"impl_cycles":6,"checkpoints":2,"passed":true,"budget_exhausted":false},{"sequence":18,"impl_cycles":6,"checkpoints":2,"passed":true,"budget_exhausted":false}],"exposures":[{"bug":"missing load-use interlock","exposed":true,"programs_run":1,"impl_cycles":586,"budget_exhausted":false,"exposing_sequence":0},{"bug":"no EX/MEM bypass (A)","exposed":true,"programs_run":1,"impl_cycles":1050,"budget_exhausted":false,"exposing_sequence":0},{"bug":"no squash on taken branch","exposed":true,"programs_run":1,"impl_cycles":1404,"budget_exhausted":false,"exposing_sequence":0}],"timings":{"model_build_seconds":0,"symbolic_seconds":0,"tour_seconds":0,"concretize_seconds":0,"simulate_seconds":0,"total_seconds":0},"coverage_telemetry":{"curve_budget":512,"convergence":[{"sequence":1,"states_visited":1024,"transitions_covered":21490},{"sequence":2,"states_visited":1024,"transitions_covered":21491},{"sequence":3,"states_visited":1024,"transitions_covered":21492},{"sequence":4,"states_visited":1024,"transitions_covered":21493},{"sequence":5,"states_visited":1024,"transitions_covered":21494},{"sequence":6,"states_visited":1024,"transitions_covered":21495},{"sequence":7,"states_visited":1024,"transitions_covered":21496},{"sequence":8,"states_visited":1024,"transitions_covered":21497},{"sequence":9,"states_visited":1024,"transitions_covered":21498},{"sequence":10,"states_visited":1024,"transitions_covered":21499},{"sequence":11,"states_visited":1024,"transitions_covered":21500},{"sequence":12,"states_visited":1024,"transitions_covered":21501},{"sequence":13,"states_visited":1024,"transitions_covered":21502},{"sequence":14,"states_visited":1024,"transitions_covered":21503},{"sequence":15,"states_visited":1024,"transitions_covered":21504},{"sequence":16,"states_visited":1024,"transitions_covered":21505},{"sequence":17,"states_visited":1024,"transitions_covered":21506},{"sequence":18,"states_visited":1024,"transitions_covered":21507},{"sequence":19,"states_visited":1024,"transitions_covered":21508}],"transition_hits":{"distinct":21508,"max_hits":352,"histogram":[0,17724,1878,1266,452,141,28,5,5,9]},"bug_exposure_latency":[{"exposed":true,"sequences":1},{"exposed":true,"sequences":1},{"exposed":true,"sequences":1}]}})json";
+
+void expect_golden_at_every_thread_count(
+    core::CampaignOptions options, const std::vector<dlx::PipelineBug>& bugs,
+    const char* golden) {
+  for (const std::size_t threads : kGoldenThreadCounts) {
+    options.threads = threads;
+    EXPECT_EQ(semantic_fingerprint(core::run_campaign(options, bugs)), golden)
+        << "threads=" << threads;
+  }
+}
+
+TEST(PipelineGolden, ExplicitTourWithTelemetryMatchesPreMergeEngine) {
+  core::CampaignOptions options = tour_campaign_options();
+  options.seed = 1;
+  options.collect_coverage_telemetry = true;
+  expect_golden_at_every_thread_count(options, kThreeBugs,
+                                      kGoldenExplicitTourTelemetry);
+}
+
+TEST(PipelineGolden, HybridGeneratorMatchesPreMergeEngine) {
+  core::CampaignOptions options = tour_campaign_options();
+  options.seed = 3;
+  options.generator.kind = core::GeneratorKind::kHybrid;
+  options.generator.sequence_length = 32;
+  options.generator.max_walk_steps = 256;
+  options.generator.hybrid_tour_steps = 128;
+  expect_golden_at_every_thread_count(options, kThreeBugs, kGoldenHybrid);
+}
+
+TEST(PipelineGolden, SymbolicTourWithTelemetryMatchesPreMergeEngine) {
+  core::CampaignOptions options = tour_campaign_options();
+  options.backend = core::BackendChoice::kSymbolic;
+  options.seed = 1;
+  options.collect_coverage_telemetry = true;
+  expect_golden_at_every_thread_count(options, kThreeBugs,
+                                      kGoldenSymbolicTourTelemetry);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 // Tests for the logic-network IR and the symbolic FSM layer (transition
 // relations, image computation, reachability, counting, explicit extraction).
+#include "sym/circuit_replay.hpp"
 #include "sym/logic_network.hpp"
+#include "sym/packed_logic_sim.hpp"
 #include "sym/symbolic_fsm.hpp"
 
 #include <gtest/gtest.h>
@@ -186,6 +188,17 @@ TEST(SymFsm, ConstraintPrunesStateSpace) {
   EXPECT_DOUBLE_EQ(stats.valid_input_combinations, 1.0);
 }
 
+// Every consumer of a SequentialCircuit resolves its network inputs through
+// SequentialCircuit::input_sources, so a circuit that breaks the contract is
+// rejected the same way everywhere.
+void expect_every_consumer_throws(const SequentialCircuit& c) {
+  bdd::BddManager mgr;
+  EXPECT_THROW((void)SymbolicFsm(mgr, c), std::invalid_argument);
+  EXPECT_THROW((void)extract_explicit(c, 16), std::invalid_argument);
+  EXPECT_THROW((void)PackedCircuitSim(c), std::invalid_argument);
+  EXPECT_THROW((void)CircuitReplayer(c), std::invalid_argument);
+}
+
 TEST(SymFsm, UndeclaredInputThrows) {
   SequentialCircuit c;
   const SignalId a = c.net.add_input("a");
@@ -193,17 +206,27 @@ TEST(SymFsm, UndeclaredInputThrows) {
   c.latches = {{q, c.net.make_not(q), false, "q"}};
   // `a` is neither latch nor declared primary input.
   (void)a;
-  bdd::BddManager mgr;
-  EXPECT_THROW((void)SymbolicFsm(mgr, c), std::invalid_argument);
+  expect_every_consumer_throws(c);
 }
 
 TEST(SymFsm, SignalDeclaredTwiceThrows) {
-  SequentialCircuit c;
-  const SignalId q = c.net.add_input("q");
-  c.latches = {{q, q, false, "q"}};
-  c.primary_inputs = {q};
-  bdd::BddManager mgr;
-  EXPECT_THROW((void)SymbolicFsm(mgr, c), std::invalid_argument);
+  {
+    SCOPED_TRACE("latch and primary input");
+    SequentialCircuit c;
+    const SignalId q = c.net.add_input("q");
+    c.latches = {{q, q, false, "q"}};
+    c.primary_inputs = {q};
+    expect_every_consumer_throws(c);
+  }
+  {
+    SCOPED_TRACE("primary input listed twice");
+    SequentialCircuit c;
+    const SignalId a = c.net.add_input("a");
+    const SignalId q = c.net.add_input("q");
+    c.latches = {{q, c.net.make_and(a, q), false, "q"}};
+    c.primary_inputs = {a, a};
+    expect_every_consumer_throws(c);
+  }
 }
 
 TEST(SymFsm, PreimageInvertsImage) {
