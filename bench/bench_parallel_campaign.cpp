@@ -99,7 +99,6 @@ int main(int argc, char** argv) {
   base.store_dir = bench::store_dir();
   base.resume = bench::resume();
   base.collect_coverage_telemetry = true;
-  base.packed = bench::packed();
   base.generator = bench::generator();
   base.monitor = bench::monitor();
   base.baseline_check = bench::baseline_check();
@@ -116,7 +115,7 @@ int main(int argc, char** argv) {
   bench::row("hardware threads",
              static_cast<std::size_t>(std::thread::hardware_concurrency()));
   bench::row("injected bugs", bugs.size());
-  bench::row("packed replay", base.packed ? "on" : "off");
+  bench::row("packed mutant replay", bench::packed() ? "on" : "off");
   bench::row("generator", core::generator_kind_name(base.generator.kind));
 
   // Serial reference.
@@ -151,19 +150,6 @@ int main(int argc, char** argv) {
     if (threads == 4) speedup_at_4 = speedup;
     std::printf("  %-10zu %12.3f %9.2fx %12s\n", threads, seconds, speedup,
                 identical ? "yes" : "NO");
-  }
-
-  // Cross-path identity: flipping the bit-parallel replay toggle must not
-  // move a byte of the semantic report.
-  {
-    core::CampaignOptions cross = base;
-    cross.threads = 1;
-    cross.packed = !base.packed;
-    const bool identical =
-        semantic_fingerprint(core::run_campaign(cross, bugs)) == reference;
-    all_identical = all_identical && identical;
-    bench::row("packed/scalar campaign reports identical",
-               identical ? "yes" : "NO");
   }
 
   // Mutant replay (Theorem 3 apparatus), the other hot loop.

@@ -1,7 +1,6 @@
 #include "model/symbolic_model.hpp"
 
 #include <algorithm>
-#include <array>
 #include <random>
 #include <stdexcept>
 
@@ -13,8 +12,7 @@ SymbolicModel::SymbolicModel(const sym::SequentialCircuit& circuit,
                              bdd::ReorderPolicy reorder)
     // The comma expression installs the reordering policy on the manager
     // before SymbolicFsm builds the transition relation in it.
-    : fsm_((mgr_.set_reorder_policy(reorder), mgr_), circuit),
-      packed_(circuit) {
+    : fsm_((mgr_.set_reorder_policy(reorder), mgr_), circuit) {
   if (fsm_.num_latches() > 63 || fsm_.num_inputs() > 63) {
     throw std::invalid_argument(
         "SymbolicModel: too many variables for packed 64-bit keys");
@@ -53,30 +51,6 @@ std::optional<std::uint64_t> SymbolicModel::output(std::uint64_t state,
         "SymbolicModel::output: too many outputs for a packed 64-bit key");
   }
   return fsm_.eval_packed(funcs, state, input);
-}
-
-void SymbolicModel::step_batch(std::span<const std::uint64_t> states,
-                               std::span<const std::uint64_t> inputs,
-                               std::span<std::optional<std::uint64_t>> next) {
-  if (inputs.size() != states.size() || next.size() != states.size()) {
-    throw std::invalid_argument(
-        "SymbolicModel::step_batch: lane span mismatch");
-  }
-  std::array<std::uint64_t, sym::PackedCircuitSim::kLanes> scratch;
-  for (std::size_t base = 0; base < states.size();
-       base += sym::PackedCircuitSim::kLanes) {
-    const std::size_t lanes =
-        std::min(sym::PackedCircuitSim::kLanes, states.size() - base);
-    const std::span<std::uint64_t> block(scratch.data(), lanes);
-    const std::uint64_t valid = packed_.step(states.subspan(base, lanes),
-                                             inputs.subspan(base, lanes),
-                                             block);
-    for (std::size_t l = 0; l < lanes; ++l) {
-      next[base + l] = ((valid >> l) & 1u) != 0
-                           ? std::optional<std::uint64_t>(block[l])
-                           : std::nullopt;
-    }
-  }
 }
 
 std::vector<bool> SymbolicModel::input_vector(std::uint64_t input) const {

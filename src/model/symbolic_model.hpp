@@ -17,7 +17,6 @@
 
 #include "bdd/bdd.hpp"
 #include "model/test_model.hpp"
-#include "sym/packed_logic_sim.hpp"
 #include "sym/symbolic_fsm.hpp"
 
 namespace simcov::model {
@@ -58,13 +57,6 @@ class SymbolicModel final : public TestModel {
                                     std::uint64_t input) override;
   std::optional<std::uint64_t> output(std::uint64_t state,
                                       std::uint64_t input) override;
-  /// Bypasses the BDD evaluator entirely: one word-level pass of the
-  /// underlying circuit (sym::PackedCircuitSim) steps all lanes at once.
-  /// Answers agree lane-for-lane with step() — the circuit and its BDD view
-  /// compute the same functions.
-  void step_batch(std::span<const std::uint64_t> states,
-                  std::span<const std::uint64_t> inputs,
-                  std::span<std::optional<std::uint64_t>> next) override;
   [[nodiscard]] std::vector<bool> input_vector(
       std::uint64_t input) const override;
   [[nodiscard]] double count_reachable_states() override;
@@ -78,7 +70,6 @@ class SymbolicModel final : public TestModel {
 
   bdd::BddManager mgr_;
   sym::SymbolicFsm fsm_;
-  sym::PackedCircuitSim packed_;
   std::uint64_t reset_ = 0;
   /// Per-state (input, successor) enumeration, memoized — the walk revisits
   /// states far more often than it discovers them.

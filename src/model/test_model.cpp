@@ -33,17 +33,6 @@ std::vector<bool> TestModel::unpack_bits(std::uint64_t key, unsigned width) {
   return bits;
 }
 
-void TestModel::step_batch(std::span<const std::uint64_t> states,
-                           std::span<const std::uint64_t> inputs,
-                           std::span<std::optional<std::uint64_t>> next) {
-  if (inputs.size() != states.size() || next.size() != states.size()) {
-    throw std::invalid_argument("TestModel::step_batch: lane span mismatch");
-  }
-  for (std::size_t l = 0; l < states.size(); ++l) {
-    next[l] = step(states[l], inputs[l]);
-  }
-}
-
 void TestModel::visit_reachable(
     std::size_t max_states,
     const std::function<void(std::uint64_t, const Edge&)>& visit) {

@@ -31,7 +31,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "model/coverage.hpp"
@@ -153,18 +152,6 @@ class TestModel {
   /// output errors, which leave the edge structure unchanged.
   virtual std::optional<std::uint64_t> output(std::uint64_t state,
                                               std::uint64_t input) = 0;
-
-  /// Batch (bit-parallel) form of step(): lane L advances states[L] under
-  /// inputs[L], writing the successor (or nullopt for an invalid input)
-  /// into next[L]. All spans must agree in size; callers group lanes in
-  /// blocks of at most 64 so circuit-backed overrides can evaluate all
-  /// lanes in one word-level network pass (sym::PackedCircuitSim). The
-  /// base implementation loops over step(), so every backend answers
-  /// identically — the batch entry point is a throughput contract, never a
-  /// semantic one.
-  virtual void step_batch(std::span<const std::uint64_t> states,
-                          std::span<const std::uint64_t> inputs,
-                          std::span<std::optional<std::uint64_t>> next);
 
   /// Little-endian PI bit vector of a packed input key (for concretization).
   [[nodiscard]] virtual std::vector<bool> input_vector(

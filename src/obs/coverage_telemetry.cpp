@@ -1,7 +1,6 @@
 #include "obs/coverage_telemetry.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 #include <utility>
 
 namespace simcov::obs {
@@ -58,67 +57,6 @@ void CoverageTelemetryCollector::commit_sequence(
                            static_cast<std::uint64_t>(tracker_.states_visited()),
                            static_cast<std::uint64_t>(
                                tracker_.transitions_covered())});
-}
-
-void CoverageTelemetryCollector::commit_batch(
-    std::span<const std::vector<std::vector<bool>>> batch) {
-  // Phase 1 — lane-parallel replay: every sequence is a lane; one
-  // step_batch round advances all lanes that still have steps left. The
-  // traces are only recorded here, not yet folded, because fold order (not
-  // replay order) is what the convergence curve observes.
-  const std::size_t n = batch.size();
-  std::vector<std::uint64_t> at(n, model_.reset_state());
-  std::vector<std::size_t> pos(n, 0);
-  std::vector<std::vector<std::pair<std::uint64_t, std::uint64_t>>> trace(n);
-  for (std::size_t l = 0; l < n; ++l) trace[l].reserve(batch[l].size());
-
-  std::vector<std::size_t> running(n);
-  for (std::size_t l = 0; l < n; ++l) running[l] = l;
-  std::vector<std::uint64_t> states, inputs;
-  std::vector<std::optional<std::uint64_t>> next;
-  while (!running.empty()) {
-    std::erase_if(running,
-                  [&](std::size_t l) { return pos[l] >= batch[l].size(); });
-    if (running.empty()) break;
-    states.clear();
-    inputs.clear();
-    for (const std::size_t l : running) {
-      states.push_back(at[l]);
-      inputs.push_back(model::TestModel::pack_bits(batch[l][pos[l]]));
-    }
-    next.assign(running.size(), std::nullopt);
-    model_.step_batch(states, inputs, next);
-    for (std::size_t k = 0; k < running.size(); ++k) {
-      if (!next[k].has_value()) {
-        throw std::domain_error(
-            "CoverageTelemetryCollector: invalid input in committed sequence");
-      }
-      const std::size_t l = running[k];
-      trace[l].emplace_back(at[l], inputs[k]);
-      at[l] = *next[k];
-      ++pos[l];
-    }
-  }
-
-  // Phase 2 — fold in batch order, mirroring commit_sequence exactly.
-  for (std::size_t l = 0; l < n; ++l) {
-    tracker_.visit_state(model_.reset_state());
-    for (const auto& [state, input] : trace[l]) {
-      tracker_.cover_transition(state, input);
-    }
-    // visit_state of every post-step state: entry j+1's source state, then
-    // the lane's final state.
-    for (std::size_t j = 1; j < trace[l].size(); ++j) {
-      tracker_.visit_state(trace[l][j].first);
-    }
-    if (!trace[l].empty()) tracker_.visit_state(at[l]);
-    ++committed_;
-    curve_.add(
-        CoveragePoint{committed_,
-                      static_cast<std::uint64_t>(tracker_.states_visited()),
-                      static_cast<std::uint64_t>(
-                          tracker_.transitions_covered())});
-  }
 }
 
 CoverageTelemetry CoverageTelemetryCollector::snapshot() const {

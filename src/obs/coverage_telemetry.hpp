@@ -18,17 +18,17 @@
 //     the Compare / MutantReplay stages already record.
 //
 // The collector replays each committed sequence (TestModel::replay, the
-// one coverage definition) into its own hit-counting CoverageTracker. Replay (not the stream's tracker) is deliberate: a
-// store-replayed tour (store::StoredTourStream) has no live tracker, and a
-// resumed campaign restores verdicts without regenerating per-sequence
-// coverage — the replay path is the one account that is identical for
-// live, cached, and resumed campaigns.
+// one coverage definition) into its own hit-counting CoverageTracker.
+// Replay (not the stream's tracker) is deliberate: a store-replayed tour
+// (store::StoredTourStream) has no live tracker, and a resumed campaign
+// restores verdicts without regenerating per-sequence coverage — the
+// replay path is the one account that is identical for live, cached, and
+// resumed campaigns.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "model/test_model.hpp"
@@ -104,17 +104,11 @@ class CoverageTelemetryCollector {
                              std::size_t curve_budget = 512);
 
   /// Replays one committed sequence (one PI bit vector per step) through
-  /// TestModel::replay and appends one convergence point. Throws std::domain_error on an input
-  /// that is invalid in its state (committed sequences are valid by
-  /// construction, so this indicates stream corruption).
+  /// TestModel::replay and appends one convergence point. Throws
+  /// std::domain_error on an input that is invalid in its state (committed
+  /// sequences are valid by construction, so this indicates stream
+  /// corruption).
   void commit_sequence(const std::vector<std::vector<bool>>& steps);
-
-  /// Batch form: replays every sequence of `batch` lane-parallel through
-  /// TestModel::step_batch (one word-level pass advances up to 64 sequences
-  /// per call), then folds the recorded traces into the tracker strictly in
-  /// batch order — the resulting telemetry (convergence points included) is
-  /// byte-identical to calling commit_sequence on each element in turn.
-  void commit_batch(std::span<const std::vector<std::vector<bool>>> batch);
 
   [[nodiscard]] std::uint64_t committed() const { return committed_; }
 

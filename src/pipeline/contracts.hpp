@@ -213,15 +213,10 @@ struct CampaignOptions {
   bool collect_coverage_telemetry = false;
   /// Point budget of the downsampled convergence curve.
   std::size_t telemetry_curve_budget = 512;
-  /// Replay committed sequences for coverage telemetry through the
-  /// bit-parallel batch path (TestModel::step_batch — 64 sequences per
-  /// word-level pass) instead of one scalar step() per cycle. A throughput
-  /// knob only: reports are byte-identical either way.
-  bool packed = false;
   /// Dynamic variable-reordering policy of the symbolic backend's live BDD
   /// manager (bdd::ReorderPolicy::kAuto enables growth-triggered sifting).
   /// A memory/throughput knob only, excluded from the store fingerprints
-  /// (pipeline/store_keys) like `threads` and `packed`: reordering is
+  /// (pipeline/store_keys) like `threads`: reordering is
   /// semantically invisible, so the campaign outcome is identical either
   /// way (only the engine-telemetry sections — bdd stats — differ).
   /// Ignored by the explicit backend. The dedicated snapshot manager of
@@ -402,6 +397,8 @@ struct MutantCoverageOptions {
   /// the lanes of one specification walk per block instead of one scalar
   /// exposes() walk each. A throughput knob only: verdicts, latencies and
   /// reports are byte-identical to the scalar path at any thread count.
+  /// The benches' `--packed on|off` flag drives this field and nothing
+  /// else; campaigns have no packed switch.
   bool packed = false;
 
   // ---- Pipeline knobs -----------------------------------------------------

@@ -13,7 +13,6 @@
 #include "gen/generators.hpp"
 #include "io/blif.hpp"
 #include "model/symbolic_model.hpp"
-#include "sym/packed_logic_sim.hpp"
 #include "runtime/rng.hpp"
 #include "store/codec.hpp"
 #include "store/tour_cache.hpp"
@@ -406,38 +405,19 @@ void SimulateStage::run_batch(
 }
 
 void CircuitReplayStage::run_batch(
-    const sym::CircuitReplayer& replayer,
+    const sym::PackedCircuitSim& sim,
     std::span<const std::vector<std::vector<bool>>> batch,
-    std::size_t first_sequence, std::size_t max_cycles, bool packed,
+    std::size_t first_sequence, std::size_t max_cycles,
     std::span<RunMetrics> out, runtime::ThreadPool& pool,
     const CancellationToken& cancel, obs::EventSink& sink) {
   obs::ScopedSpan span(sink, obs::Stage::kSimulate);
   const auto queue_wait =
       queue_wait_observer(sink, obs::Stage::kSimulate, first_sequence);
-  const sym::SequentialCircuit& circuit = replayer.circuit();
-  // The packed path needs the 64-bit packed-key encoding; wider circuits
-  // silently fall back to the (verdict-identical) scalar replay.
-  const bool packable = packed && circuit.latches.size() <= 63 &&
-                        circuit.primary_inputs.size() <= 63;
-  if (!packable) {
-    pool.for_each_index(
-        batch.size(),
-        [&](std::size_t i) {
-          const auto t0 = std::chrono::steady_clock::now();
-          const auto trace = replayer.replay(batch[i], max_cycles);
-          out[i] = RunMetrics{first_sequence + i, trace.steps, trace.steps,
-                              trace.valid, trace.truncated};
-          sink.latency(obs::Stage::kSimulate, "clean_run",
-                       first_sequence + i, seconds_since(t0));
-        },
-        cancel.raw(), &queue_wait);
-    return;
-  }
-  // Bit-parallel path: 64 sequences share one word-level network pass per
-  // cycle. Sharding moves from sequences to blocks; per-index RunMetrics
-  // slots keep verdicts byte-identical to the scalar loop above.
+  // 64 sequences share one word-level network pass per cycle; the pool
+  // shards blocks, and per-index RunMetrics slots keep verdicts independent
+  // of the thread count.
   constexpr std::size_t kLanes = sym::PackedCircuitSim::kLanes;
-  const sym::PackedCircuitSim sim(circuit);
+  const sym::SequentialCircuit& circuit = sim.circuit();
   std::vector<bool> init_bits(circuit.latches.size());
   for (std::size_t j = 0; j < circuit.latches.size(); ++j) {
     init_bits[j] = circuit.latches[j].init;
@@ -473,6 +453,11 @@ void CircuitReplayStage::run_batch(
               active &= ~(std::uint64_t{1} << l);
               continue;
             }
+            if (seq[c].size() != circuit.primary_inputs.size()) {
+              throw std::invalid_argument(
+                  "CircuitReplayStage: step width differs from the "
+                  "circuit's primary-input count");
+            }
             want |= std::uint64_t{1} << l;
             inputs[l] = model::TestModel::pack_bits(seq[c]);
           }
@@ -491,10 +476,13 @@ void CircuitReplayStage::run_batch(
             }
           }
         }
-        const double block_seconds = seconds_since(t0);
+        // The lanes shared one block walk: each gets an equal share of it,
+        // so the per-item latencies sum to the block's time.
+        const double lane_seconds =
+            seconds_since(t0) / static_cast<double>(len);
         for (std::size_t l = 0; l < len; ++l) {
           sink.latency(obs::Stage::kSimulate, "clean_run",
-                       first_sequence + base + l, block_seconds);
+                       first_sequence + base + l, lane_seconds);
         }
       },
       cancel.raw(), &queue_wait);

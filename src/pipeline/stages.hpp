@@ -22,7 +22,7 @@
 #include "pipeline/contracts.hpp"
 #include "runtime/thread_pool.hpp"
 #include "store/artifact_store.hpp"
-#include "sym/circuit_replay.hpp"
+#include "sym/packed_logic_sim.hpp"
 #include "tour/tour.hpp"
 #include "validate/concretize.hpp"
 
@@ -117,21 +117,23 @@ struct SimulateStage {
 };
 
 /// External-circuit replacement for ConcretizeStage + SimulateStage: runs
-/// one batch of committed tour sequences directly on the loaded netlist
-/// (sym::CircuitReplayer), sharded over the pool with per-index slots.
-/// RunMetrics mirror SimulateStage's: impl_cycles and checkpoints count
+/// one batch of committed tour sequences directly on the loaded netlist.
+/// Blocks of 64 sequences share one word-level sym::PackedCircuitSim pass
+/// per cycle (every campaign model fits its ≤ 63-latch / ≤ 63-PI packed
+/// keys — the model build rejects wider netlists), and the pool shards the
+/// blocks with per-index slots. RunMetrics mirror SimulateStage's and
+/// sym::CircuitReplayer::replay's trace: impl_cycles and checkpoints count
 /// the replayed cycles, `passed` is the validity verdict, and a sequence
-/// cut short by max_cycles reports budget_exhausted. When `packed` is set
-/// and the circuit fits the 64-bit packed-key encoding (≤ 63 latches and
-/// primary inputs), blocks of 64 sequences share one word-level
-/// PackedCircuitSim pass per cycle; verdicts are byte-identical to the
-/// scalar path either way. One kSimulate span per call.
+/// cut short by max_cycles reports budget_exhausted. Each sequence's
+/// "clean_run" latency is its block's wall time divided by the lanes in
+/// the block, so the latencies of a call sum to its block time. Throws
+/// std::invalid_argument on a step whose width is not the circuit's
+/// primary-input count. One kSimulate span per call.
 struct CircuitReplayStage {
-  static void run_batch(const sym::CircuitReplayer& replayer,
+  static void run_batch(const sym::PackedCircuitSim& sim,
                         std::span<const std::vector<std::vector<bool>>> batch,
                         std::size_t first_sequence, std::size_t max_cycles,
-                        bool packed, std::span<RunMetrics> out,
-                        runtime::ThreadPool& pool,
+                        std::span<RunMetrics> out, runtime::ThreadPool& pool,
                         const CancellationToken& cancel, obs::EventSink& sink);
 };
 

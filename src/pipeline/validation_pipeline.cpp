@@ -16,6 +16,7 @@
 #include "store/codec.hpp"
 #include "store/tour_cache.hpp"
 #include "sym/circuit_replay.hpp"
+#include "sym/packed_logic_sim.hpp"
 #include "validate/harness.hpp"
 
 namespace simcov::pipeline {
@@ -85,9 +86,9 @@ CampaignResult ValidationPipeline::run(
         "circuit (CampaignOptions::circuit_path); pass an empty bug list");
   }
   // External circuits replace concretize/simulate with direct replay; one
-  // replayer serves every worker (replay() is const and allocation-local).
-  std::optional<sym::CircuitReplayer> replayer;
-  if (build.external_circuit) replayer.emplace(build.built->circuit);
+  // simulator serves every worker (step() is const and allocation-local).
+  std::optional<sym::PackedCircuitSim> circuit_sim;
+  if (build.external_circuit) circuit_sim.emplace(build.built->circuit);
 
   // Coverage telemetry replays committed sequences through the model on the
   // coordinator thread — the one account that is identical for live,
@@ -267,9 +268,9 @@ CampaignResult ValidationPipeline::run(
       }
       restored_used += batch.size();
     } else if (build.external_circuit) {
-      CircuitReplayStage::run_batch(*replayer, batch, first,
-                                    options_.max_cycles, options_.packed,
-                                    batch_runs, pool, cancel, sink);
+      CircuitReplayStage::run_batch(*circuit_sim, batch, first,
+                                    options_.max_cycles, batch_runs, pool,
+                                    cancel, sink);
       if (cancel.cancelled()) {
         simulate_status = obs::StageStatus::kCancelled;
         break;
@@ -291,7 +292,7 @@ CampaignResult ValidationPipeline::run(
       result.sequences += 1;
       result.test_length += batch[i].size();
       result.clean_runs.push_back(batch_runs[i]);
-      if (telemetry.has_value() && !options_.packed) {
+      if (telemetry.has_value()) {
         telemetry->commit_sequence(batch[i]);
         if (options_.monitor != nullptr) {
           options_.monitor->on_commit(result.sequences, result.test_length,
@@ -303,18 +304,6 @@ CampaignResult ValidationPipeline::run(
       if (!build.external_circuit) {
         result.total_instructions += batch_programs[i].instructions.size();
         programs.push_back(std::move(batch_programs[i]));
-      }
-    }
-    // Packed telemetry replays the whole committed batch through the
-    // bit-parallel batch stepper at once; the collector folds in batch
-    // order, so the telemetry section stays byte-identical to the scalar
-    // per-sequence commit above.
-    if (telemetry.has_value() && options_.packed) {
-      telemetry->commit_batch(batch);
-      if (options_.monitor != nullptr) {
-        options_.monitor->on_commit(result.sequences, result.test_length,
-                                    telemetry->states_visited(),
-                                    telemetry->transitions_covered());
       }
     }
 
@@ -419,14 +408,14 @@ CampaignResult ValidationPipeline::run(
   // identical campaigns, at any thread count, warm or cold, produce
   // byte-identical waveforms.
   if (!options_.vcd_path.empty()) {
-    if (!replayer.has_value()) replayer.emplace(build.built->circuit);
+    const sym::CircuitReplayer replayer(build.built->circuit);
     io::VcdWriter vcd(build.built->circuit,
                       build.circuit_name.empty() ? "dlx"
                                                  : build.circuit_name);
     for (std::size_t i = 0; i < vcd_sequences.size(); ++i) {
       vcd.add_sequence(
           "seq" + std::to_string(i),
-          replayer->replay(vcd_sequences[i], options_.max_cycles));
+          replayer.replay(vcd_sequences[i], options_.max_cycles));
     }
     vcd.write_file(options_.vcd_path);
   }

@@ -115,7 +115,7 @@ std::uint64_t PackedCircuitSim::step(std::span<const std::uint64_t> states,
   }
   // Transpose the per-lane keys into per-signal lane words: network input k
   // gets bit L from bit sources_[k].index of lane L's state or input key.
-  input_words_.assign(sources_.size(), 0);
+  std::vector<std::uint64_t> input_words(sources_.size(), 0);
   for (std::size_t k = 0; k < sources_.size(); ++k) {
     const std::uint32_t bit = sources_[k].index;
     std::uint64_t word = 0;
@@ -128,21 +128,22 @@ std::uint64_t PackedCircuitSim::step(std::span<const std::uint64_t> states,
         word |= ((inputs[l] >> bit) & 1u) << l;
       }
     }
-    input_words_[k] = word;
+    input_words[k] = word;
   }
-  sim_.eval_into(input_words_, values_);
+  std::vector<std::uint64_t> values;
+  sim_.eval_into(input_words, values);
 
   const std::uint64_t lane_mask =
       lanes == kLanes ? ~std::uint64_t{0} : (std::uint64_t{1} << lanes) - 1;
   const std::uint64_t valid =
       circuit_->valid.has_value()
-          ? values_[*circuit_->valid] & lane_mask
+          ? values[*circuit_->valid] & lane_mask
           : lane_mask;
 
   // Transpose back: bit L of next-state signal j becomes bit j of next[L].
   for (std::size_t l = 0; l < lanes; ++l) next[l] = 0;
   for (std::size_t j = 0; j < circuit_->latches.size(); ++j) {
-    const std::uint64_t word = values_[circuit_->latches[j].next];
+    const std::uint64_t word = values[circuit_->latches[j].next];
     for (std::size_t l = 0; l < lanes; ++l) {
       next[l] |= ((word >> l) & 1u) << j;
     }

@@ -13,9 +13,9 @@
 // PackedCircuitSim lifts the same trick to a SequentialCircuit: each lane
 // is an independent (state, input) pair in the packed 64-bit key encoding
 // of model::TestModel, so batch stepping 64 test-model sequences costs one
-// network pass instead of 64. Its callers are SymbolicModel::step_batch
-// (the packed coverage-telemetry replay) and the packed circuit-replay
-// stage of the external-circuit campaign path.
+// network pass instead of 64. Its caller is the external-circuit campaign
+// path (pipeline::CircuitReplayStage), which replays every committed
+// sequence of a loaded netlist through it.
 #pragma once
 
 #include <cstdint>
@@ -62,7 +62,9 @@ class PackedLogicSim {
 /// Word-level batch stepper for a SequentialCircuit: every lane is one
 /// independent (state, input) pair, packed little-endian into 64-bit keys
 /// exactly as model::TestModel does. Stateless between calls — latches are
-/// part of the per-lane state keys the caller threads through.
+/// part of the per-lane state keys the caller threads through — and step()
+/// keeps its scratch local, so one simulator may serve every worker of a
+/// sharded batch.
 class PackedCircuitSim {
  public:
   static constexpr std::size_t kLanes = PackedLogicSim::kLanes;
@@ -72,6 +74,8 @@ class PackedCircuitSim {
   /// circuit breaks the SequentialCircuit contract
   /// (SequentialCircuit::input_sources).
   explicit PackedCircuitSim(const SequentialCircuit& circuit);
+
+  [[nodiscard]] const SequentialCircuit& circuit() const { return *circuit_; }
 
   /// Steps lanes [0, states.size()) once: lane L starts in state key
   /// states[L] and consumes input key inputs[L]. Returns the mask of lanes
@@ -86,8 +90,6 @@ class PackedCircuitSim {
   const SequentialCircuit* circuit_;
   PackedLogicSim sim_;
   std::vector<SequentialCircuit::InputSource> sources_;
-  mutable std::vector<std::uint64_t> input_words_;  // reused scratch
-  mutable std::vector<std::uint64_t> values_;       // reused scratch
 };
 
 }  // namespace simcov::sym

@@ -1,113 +1,106 @@
 #include "testmodel/control_sim.hpp"
 
-#include <cstdint>
 #include <stdexcept>
 
 namespace simcov::testmodel {
 
-/// How one network input of a built control model is driven: either from a
-/// latch (by latch index) or from a field of the decoded ControlInput.
-struct ControlModelSim::InputRole {
-  enum class Pi : std::uint8_t {
-    kOpBit, kRs1Bit, kRs2Bit, kRdBit, kBranchOutcome, kInstrValid,
-  };
-  bool is_latch = false;
-  std::size_t latch_index = 0;  ///< when is_latch
-  Pi pi_kind = Pi::kOpBit;
-  unsigned pi_bit = 0;
-
-  /// Classifies every network input of the model's circuit, in network
-  /// input order, by latch signal id or primary-input name. Throws
-  /// std::logic_error on an unmapped primary-input name.
-  static std::vector<InputRole> classify(const BuiltTestModel& model);
-
-  /// Value a non-latch role takes for the decoded input `in`. `onehot`
-  /// follows TestModelOptions::onehot_opclass.
-  [[nodiscard]] bool pi_value(const ControlInput& in, bool onehot) const;
-};
-
-std::vector<ControlModelSim::InputRole> ControlModelSim::InputRole::classify(
-    const BuiltTestModel& model) {
+ControlInputCodec::ControlInputCodec(const BuiltTestModel& model)
+    : roles_(model.circuit.primary_inputs.size()),
+      onehot_(model.options.onehot_opclass),
+      fetch_controller_(model.options.fetch_controller) {
   const auto& c = model.circuit;
-  // Classify every network input as latch or primary input, by signal id.
-  std::map<sym::SignalId, std::size_t> latch_of;
-  for (std::size_t j = 0; j < c.latches.size(); ++j) {
-    latch_of[c.latches[j].current] = j;
-  }
-  std::map<sym::SignalId, std::string> pi_name;
-  const auto net_inputs = c.net.inputs();
-  for (std::size_t k = 0; k < net_inputs.size(); ++k) {
-    pi_name[net_inputs[k]] = c.net.input_name(k);
-  }
-  auto parse_pi = [](const std::string& name, InputRole& role) {
-    auto suffix_bits = [&](std::size_t prefix_len) {
+  const auto sources = c.input_sources();
+  for (std::size_t k = 0; k < sources.size(); ++k) {
+    if (sources[k].is_latch) continue;
+    const std::string name = c.net.input_name(k);
+    Role& role = roles_[sources[k].index];
+    auto suffix_bit = [&](std::size_t prefix_len) {
       return static_cast<unsigned>(std::stoul(name.substr(prefix_len)));
     };
     if (name == "branch_outcome") {
-      role.pi_kind = InputRole::Pi::kBranchOutcome;
+      role.field = Field::kBranchOutcome;
     } else if (name == "instr_valid") {
-      role.pi_kind = InputRole::Pi::kInstrValid;
+      role.field = Field::kInstrValid;
     } else if (name.rfind("op", 0) == 0) {
-      role.pi_kind = InputRole::Pi::kOpBit;
-      role.pi_bit = suffix_bits(2);
+      role = {Field::kOpBit, suffix_bit(2)};
     } else if (name.rfind("rs1_", 0) == 0) {
-      role.pi_kind = InputRole::Pi::kRs1Bit;
-      role.pi_bit = suffix_bits(4);
+      role = {Field::kRs1Bit, suffix_bit(4)};
     } else if (name.rfind("rs2_", 0) == 0) {
-      role.pi_kind = InputRole::Pi::kRs2Bit;
-      role.pi_bit = suffix_bits(4);
+      role = {Field::kRs2Bit, suffix_bit(4)};
     } else if (name.rfind("rd_", 0) == 0) {
-      role.pi_kind = InputRole::Pi::kRdBit;
-      role.pi_bit = suffix_bits(3);
+      role = {Field::kRdBit, suffix_bit(3)};
     } else {
-      throw std::logic_error("ControlModelSim: unmapped primary input " +
+      throw std::logic_error("ControlInputCodec: unmapped primary input " +
                              name);
     }
-  };
-  std::vector<InputRole> roles;
-  roles.reserve(net_inputs.size());
-  for (sym::SignalId s : net_inputs) {
-    InputRole role;
-    const auto it = latch_of.find(s);
-    if (it != latch_of.end()) {
-      role.is_latch = true;
-      role.latch_index = it->second;
-    } else {
-      parse_pi(pi_name[s], role);
-    }
-    roles.push_back(role);
   }
-  return roles;
 }
 
-bool ControlModelSim::InputRole::pi_value(const ControlInput& in,
-                                          bool onehot) const {
-  const unsigned cls_value = static_cast<unsigned>(in.cls);
-  switch (pi_kind) {
-    case Pi::kOpBit:
-      return onehot ? (pi_bit == cls_value)
-                    : (((cls_value >> pi_bit) & 1u) != 0);
-    case Pi::kRs1Bit:
-      return ((in.rs1 >> pi_bit) & 1u) != 0;
-    case Pi::kRs2Bit:
-      return ((in.rs2 >> pi_bit) & 1u) != 0;
-    case Pi::kRdBit:
-      return ((in.rd >> pi_bit) & 1u) != 0;
-    case Pi::kBranchOutcome:
+bool ControlInputCodec::pi_value(std::size_t pi, const ControlInput& in) const {
+  const Role& role = roles_[pi];
+  switch (role.field) {
+    case Field::kOpBit: {
+      const auto cls = static_cast<unsigned>(in.cls);
+      return onehot_ ? role.bit == cls : ((cls >> role.bit) & 1u) != 0;
+    }
+    case Field::kRs1Bit:
+      return ((in.rs1 >> role.bit) & 1u) != 0;
+    case Field::kRs2Bit:
+      return ((in.rs2 >> role.bit) & 1u) != 0;
+    case Field::kRdBit:
+      return ((in.rd >> role.bit) & 1u) != 0;
+    case Field::kBranchOutcome:
       return in.branch_outcome;
-    case Pi::kInstrValid:
+    case Field::kInstrValid:
       return in.instr_valid;
   }
   return false;
 }
 
-ControlModelSim::ControlModelSim(const BuiltTestModel& model) : model_(model) {
+ControlInput ControlInputCodec::decode(const std::vector<bool>& pi_bits) const {
+  if (pi_bits.size() != roles_.size()) {
+    throw std::invalid_argument("decode_control_input: width mismatch");
+  }
+  ControlInput in;
+  // Without a fetch controller there is no instr_valid input and the field
+  // keeps its default.
+  if (fetch_controller_) in.instr_valid = false;
+  unsigned cls = 0;
+  for (std::size_t p = 0; p < roles_.size(); ++p) {
+    if (!pi_bits[p]) continue;
+    const Role& role = roles_[p];
+    switch (role.field) {
+      case Field::kOpBit:
+        cls = onehot_ ? role.bit : cls | (1u << role.bit);
+        break;
+      case Field::kRs1Bit:
+        in.rs1 |= 1u << role.bit;
+        break;
+      case Field::kRs2Bit:
+        in.rs2 |= 1u << role.bit;
+        break;
+      case Field::kRdBit:
+        in.rd |= 1u << role.bit;
+        break;
+      case Field::kBranchOutcome:
+        in.branch_outcome = true;
+        break;
+      case Field::kInstrValid:
+        in.instr_valid = true;
+        break;
+    }
+  }
+  in.cls = static_cast<dlx::OpClass>(cls);
+  return in;
+}
+
+ControlModelSim::ControlModelSim(const BuiltTestModel& model)
+    : model_(model), codec_(model), sources_(model.circuit.input_sources()) {
   const auto& c = model_.circuit;
-  roles_ = InputRole::classify(model_);
   for (std::size_t k = 0; k < c.outputs.size(); ++k) {
     output_index_[c.outputs[k].first] = k;
   }
-  input_scratch_.assign(roles_.size(), false);
+  input_scratch_.assign(sources_.size(), false);
   reset();
 }
 
@@ -122,12 +115,11 @@ void ControlModelSim::reset() {
 }
 
 void ControlModelSim::fill_network_inputs(const ControlInput& in) const {
-  const bool onehot = model_.options.onehot_opclass;
-  for (std::size_t k = 0; k < roles_.size(); ++k) {
-    const InputRole& role = roles_[k];
-    input_scratch_[k] = role.is_latch
-                            ? static_cast<bool>(latches_[role.latch_index])
-                            : role.pi_value(in, onehot);
+  for (std::size_t k = 0; k < sources_.size(); ++k) {
+    const auto& source = sources_[k];
+    input_scratch_[k] = source.is_latch
+                            ? static_cast<bool>(latches_[source.index])
+                            : codec_.pi_value(source.index, in);
   }
 }
 

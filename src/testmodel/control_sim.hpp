@@ -4,9 +4,11 @@
 // inputs and reads back the named control outputs. Used by tests to check
 // the model's stall/squash/forwarding behaviour against the real pipeline,
 // and by the validation harness when replaying tours (hot path: all name
-// resolution happens once, in the constructor).
+// resolution happens once, in the constructor, through ControlInputCodec —
+// the one parser of the model's primary-input names).
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -25,6 +27,39 @@ struct ControlInput {
   unsigned rd = 0;
   bool branch_outcome = false;
   bool instr_valid = true;  ///< only meaningful with a fetch controller
+};
+
+/// The primary inputs of a built control model, each resolved once from its
+/// name (`op<k>`, `rs1_<k>`, `rs2_<k>`, `rd_<k>`, `branch_outcome`,
+/// `instr_valid`) to the ControlInput field and bit it carries. Both
+/// directions read this one table: ControlModelSim encodes a ControlInput
+/// into PI values, validate::decode_control_input decodes a tour step's PI
+/// bit vector back into a ControlInput.
+class ControlInputCodec {
+ public:
+  /// Throws std::logic_error on a primary-input name outside the
+  /// vocabulary above.
+  explicit ControlInputCodec(const BuiltTestModel& model);
+
+  /// Value primary input `pi` (model PI order) takes for `in`.
+  [[nodiscard]] bool pi_value(std::size_t pi, const ControlInput& in) const;
+
+  /// The ControlInput a PI bit vector (model PI order) encodes. Throws
+  /// std::invalid_argument when the width is not the model's PI count.
+  [[nodiscard]] ControlInput decode(const std::vector<bool>& pi_bits) const;
+
+ private:
+  enum class Field : std::uint8_t {
+    kOpBit, kRs1Bit, kRs2Bit, kRdBit, kBranchOutcome, kInstrValid,
+  };
+  struct Role {
+    Field field = Field::kOpBit;
+    unsigned bit = 0;
+  };
+
+  std::vector<Role> roles_;  // by primary-input index
+  bool onehot_ = false;      // TestModelOptions::onehot_opclass
+  bool fetch_controller_ = false;
 };
 
 class ControlModelSim {
@@ -59,13 +94,12 @@ class ControlModelSim {
   }
 
  private:
-  /// How one network input is driven: a latch or a ControlInput field.
-  struct InputRole;
-
   void fill_network_inputs(const ControlInput& in) const;
 
   const BuiltTestModel& model_;
-  std::vector<InputRole> roles_;
+  ControlInputCodec codec_;
+  /// How each network input is driven: a latch or a primary input.
+  std::vector<sym::SequentialCircuit::InputSource> sources_;
   std::vector<bool> latches_;
   std::vector<bool> last_outputs_;           // by output index
   std::map<std::string, std::size_t> output_index_;

@@ -102,30 +102,14 @@ std::optional<Tour> minimum_transition_tour(const MealyMachine& m,
 
 std::optional<Tour> greedy_transition_tour(const MealyMachine& m,
                                            StateId start) {
-  const auto targets = m.reachable_transitions(start);
-  std::set<fsm::TransitionRef> uncovered(targets.begin(), targets.end());
+  // The greedy tour is the set generator's first sequence, provided that
+  // sequence alone covers everything (no reset needed).
+  TransitionTourSetGenerator gen(m, start);
+  auto first = gen.next();
+  if (!gen.done()) return std::nullopt;  // stuck
   Tour tour;
   tour.start = start;
-  StateId at = start;
-  while (!uncovered.empty()) {
-    auto has_uncovered_out = [&](StateId s) {
-      auto it = uncovered.lower_bound(fsm::TransitionRef{s, 0});
-      return it != uncovered.end() && it->state == s;
-    };
-    const auto path = bfs_to(m, at, has_uncovered_out);
-    if (!path.has_value()) return std::nullopt;  // stuck
-    for (InputId i : *path) {
-      uncovered.erase(fsm::TransitionRef{at, i});
-      tour.inputs.push_back(i);
-      at = m.transition(at, i)->next;
-    }
-    // Take the smallest uncovered input out of `at`.
-    const auto it = uncovered.lower_bound(fsm::TransitionRef{at, 0});
-    const InputId i = it->input;
-    uncovered.erase(it);
-    tour.inputs.push_back(i);
-    at = m.transition(at, i)->next;
-  }
+  if (first.has_value()) tour.inputs = std::move(*first);
   return tour;
 }
 
@@ -233,38 +217,12 @@ std::optional<TourSet> greedy_transition_tour_set(const MealyMachine& m,
   return set;
 }
 
-namespace {
-
-/// Reachable state/transition totals for the tracker, shared by both
-/// evaluators.
-model::CoverageTracker make_tracker(const MealyMachine& m, StateId start) {
-  const auto reachable = m.reachable_states(start);
-  std::size_t states_total = 0;
-  for (StateId s = 0; s < m.num_states(); ++s) {
-    if (reachable[s]) ++states_total;
-  }
-  return model::CoverageTracker(
-      static_cast<double>(states_total),
-      static_cast<double>(m.reachable_transitions(start).size()));
-}
-
-}  // namespace
-
 CoverageStats evaluate_coverage(const MealyMachine& m, StateId start,
                                 std::span<const InputId> inputs) {
-  model::CoverageTracker tracker = make_tracker(m, start);
-  StateId at = start;
-  tracker.visit_state(at);
-  for (InputId i : inputs) {
-    const auto t = m.transition(at, i);
-    if (!t.has_value()) {
-      throw std::domain_error("evaluate_coverage: undefined transition");
-    }
-    tracker.cover_transition(at, i);
-    at = t->next;
-    tracker.visit_state(at);
-  }
-  return tracker.stats();
+  TourSet set;
+  set.start = start;
+  set.sequences.emplace_back(inputs.begin(), inputs.end());
+  return evaluate_coverage_set(m, set);
 }
 
 bool is_transition_tour(const MealyMachine& m, StateId start,
@@ -275,7 +233,14 @@ bool is_transition_tour(const MealyMachine& m, StateId start,
 
 CoverageStats evaluate_coverage_set(const MealyMachine& m,
                                     const TourSet& set) {
-  model::CoverageTracker tracker = make_tracker(m, set.start);
+  const auto reachable = m.reachable_states(set.start);
+  std::size_t states_total = 0;
+  for (StateId s = 0; s < m.num_states(); ++s) {
+    if (reachable[s]) ++states_total;
+  }
+  model::CoverageTracker tracker(
+      static_cast<double>(states_total),
+      static_cast<double>(m.reachable_transitions(set.start).size()));
   tracker.visit_state(set.start);
   for (const auto& seq : set.sequences) {
     StateId at = set.start;

@@ -87,7 +87,8 @@ std::optional<TourSet> greedy_transition_tour_set(const fsm::MealyMachine& m,
 /// simulate each sequence while the next one is still being generated,
 /// never holding the whole test set in memory. Produces exactly the
 /// sequences (and order) of greedy_transition_tour_set — that function is
-/// now a thin loop over this generator.
+/// a thin loop over this generator, and greedy_transition_tour is its
+/// first sequence.
 ///
 /// The machine must outlive the generator.
 class TransitionTourSetGenerator {
@@ -114,8 +115,9 @@ class TransitionTourSetGenerator {
   bool stuck_ = false;
 };
 
-/// State/transition coverage achieved by running `inputs` from `start`.
-/// Totals count the reachable portion of the machine.
+/// State/transition coverage achieved by running `inputs` from `start` —
+/// evaluate_coverage_set on a one-sequence set. Totals count the reachable
+/// portion of the machine.
 CoverageStats evaluate_coverage(const fsm::MealyMachine& m, fsm::StateId start,
                                 std::span<const fsm::InputId> inputs);
 

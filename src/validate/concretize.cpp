@@ -181,63 +181,16 @@ ConcretizedProgram concretize_tour(const testmodel::BuiltTestModel& model,
 
 testmodel::ControlInput decode_control_input(
     const testmodel::BuiltTestModel& model, const std::vector<bool>& pi_bits) {
-  const auto& c = model.circuit;
-  if (pi_bits.size() != c.primary_inputs.size()) {
-    throw std::invalid_argument("decode_control_input: width mismatch");
-  }
-  // Name every primary-input position.
-  std::map<sym::SignalId, std::string> names;
-  const auto net_inputs = c.net.inputs();
-  for (std::size_t k = 0; k < net_inputs.size(); ++k) {
-    names[net_inputs[k]] = c.net.input_name(k);
-  }
-  ControlInput in;
-  unsigned cls_bits = 0;
-  for (std::size_t p = 0; p < c.primary_inputs.size(); ++p) {
-    const std::string& name = names[c.primary_inputs[p]];
-    const bool v = pi_bits[p];
-    if (!v) continue;
-    if (name.rfind("op", 0) == 0) {
-      const unsigned idx = static_cast<unsigned>(std::stoul(name.substr(2)));
-      if (model.options.onehot_opclass) {
-        cls_bits = idx;  // one-hot: index is the class id
-      } else {
-        cls_bits |= 1u << idx;
-      }
-    } else if (name.rfind("rs1_", 0) == 0) {
-      in.rs1 |= 1u << std::stoul(name.substr(4));
-    } else if (name.rfind("rs2_", 0) == 0) {
-      in.rs2 |= 1u << std::stoul(name.substr(4));
-    } else if (name.rfind("rd_", 0) == 0) {
-      in.rd |= 1u << std::stoul(name.substr(3));
-    } else if (name == "branch_outcome") {
-      in.branch_outcome = true;
-    } else if (name == "instr_valid") {
-      in.instr_valid = true;
-    }
-  }
-  in.cls = static_cast<OpClass>(cls_bits);
-  if (model.options.fetch_controller) {
-    // instr_valid was parsed only if set; default false in that case.
-    bool saw_valid = false;
-    for (std::size_t p = 0; p < c.primary_inputs.size(); ++p) {
-      if (names[c.primary_inputs[p]] == "instr_valid" && pi_bits[p]) {
-        saw_valid = true;
-      }
-    }
-    in.instr_valid = saw_valid;
-  }
-  return in;
+  return testmodel::ControlInputCodec(model).decode(pi_bits);
 }
 
 ConcretizedProgram concretize_sequence(
     const testmodel::BuiltTestModel& model,
     const std::vector<std::vector<bool>>& pi_steps) {
+  const testmodel::ControlInputCodec codec(model);
   std::vector<testmodel::ControlInput> steps;
   steps.reserve(pi_steps.size());
-  for (const auto& bits : pi_steps) {
-    steps.push_back(decode_control_input(model, bits));
-  }
+  for (const auto& bits : pi_steps) steps.push_back(codec.decode(bits));
   return concretize_tour(model, steps);
 }
 

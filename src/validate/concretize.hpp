@@ -60,13 +60,15 @@ ConcretizedProgram concretize_tour(
 
 /// Decodes one explicit-machine input symbol (primary-input bit vector from
 /// sym::extract_explicit, ordered as the model's PI list) back into a
-/// ControlInput.
+/// ControlInput, through testmodel::ControlInputCodec. Throws
+/// std::invalid_argument on a width mismatch and std::logic_error on a
+/// primary input the codec cannot map.
 testmodel::ControlInput decode_control_input(
     const testmodel::BuiltTestModel& model, const std::vector<bool>& pi_bits);
 
 /// Concretizes one backend-neutral tour sequence: each step is a
 /// primary-input bit vector (model PI order) as produced by the TestModel
-/// tours of either backend.
+/// tours of either backend. The PI roles are resolved once per sequence.
 ConcretizedProgram concretize_sequence(
     const testmodel::BuiltTestModel& model,
     const std::vector<std::vector<bool>>& pi_steps);

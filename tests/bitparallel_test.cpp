@@ -7,11 +7,10 @@
 // of fewer than 64 lanes) for:
 //
 //   * sym::PackedLogicSim            vs LogicNetwork::eval_into
-//   * model step_batch               vs scalar step (both backends)
 //   * errmodel::PackedMutantBlock    vs scalar exposes()
 //   * MutantCoverageOptions::packed  vs the scalar replay loop
-//   * CampaignOptions::packed        vs the scalar campaign (byte-identical
-//                                    report JSON at 1/2/8 threads)
+//   * pipeline::CircuitReplayStage   vs sym::CircuitReplayer (the campaign's
+//                                    only external-circuit replay)
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -21,11 +20,14 @@
 #include <vector>
 
 #include "core/campaign.hpp"
-#include "core/report.hpp"
 #include "errmodel/errmodel.hpp"
 #include "fsm/mealy.hpp"
 #include "model/explicit_model.hpp"
 #include "model/symbolic_model.hpp"
+#include "obs/event_sink.hpp"
+#include "pipeline/stages.hpp"
+#include "runtime/thread_pool.hpp"
+#include "sym/circuit_replay.hpp"
 #include "sym/packed_logic_sim.hpp"
 #include "testmodel/testmodel.hpp"
 #include "tour/tour.hpp"
@@ -130,81 +132,6 @@ TEST(PackedLogicSim, PackLanesRoundTrips) {
   const bool lanes[]{true, false, true, true, false};
   const std::uint64_t word = sym::PackedLogicSim::pack_lanes(lanes);
   EXPECT_EQ(word, 0b01101u);
-}
-
-// ---------------------------------------------------------------------------
-// Batch model stepping vs scalar step/output
-// ---------------------------------------------------------------------------
-
-testmodel::TestModelOptions tiny_model_options() {
-  testmodel::TestModelOptions opt;
-  opt.output_sync_latches = false;
-  opt.fetch_controller = false;
-  opt.aux_outputs = false;
-  opt.onehot_opclass = false;
-  opt.interlock_registers = false;
-  opt.reg_addr_bits = 1;
-  opt.reduced_isa = true;
-  return opt;
-}
-
-/// Random (state, input) key pairs covering valid and invalid
-/// combinations, deliberately NOT a multiple of 64 so the final packed
-/// block is partial.
-void random_keys(std::mt19937_64& rng, unsigned state_bits,
-                 unsigned input_bits, std::size_t count,
-                 std::vector<std::uint64_t>& states,
-                 std::vector<std::uint64_t>& inputs) {
-  const std::uint64_t smask = (std::uint64_t{1} << state_bits) - 1;
-  const std::uint64_t imask = (std::uint64_t{1} << input_bits) - 1;
-  states.resize(count);
-  inputs.resize(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    states[i] = rng() & smask;
-    inputs[i] = rng() & imask;
-  }
-}
-
-void expect_batch_matches_scalar(model::TestModel& model, std::size_t count,
-                                 std::uint64_t seed) {
-  std::mt19937_64 rng(seed);
-  std::vector<std::uint64_t> states, inputs;
-  random_keys(rng, model.state_bits(), model.input_bits(), count, states,
-              inputs);
-
-  std::vector<std::optional<std::uint64_t>> next(count);
-  model.step_batch(states, inputs, next);
-  for (std::size_t i = 0; i < count; ++i) {
-    ASSERT_EQ(next[i], model.step(states[i], inputs[i])) << "pair " << i;
-  }
-}
-
-TEST(BatchStepping, SymbolicModelMatchesScalarIncludingPartialBlock) {
-  const auto built = testmodel::build_dlx_control_model(tiny_model_options());
-  model::SymbolicModel model(built.circuit);
-  // 3 full blocks plus a 21-lane partial one.
-  expect_batch_matches_scalar(model, 3 * 64 + 21, 11);
-}
-
-TEST(BatchStepping, SymbolicModelHandlesTinySpans) {
-  const auto built = testmodel::build_dlx_control_model(tiny_model_options());
-  model::SymbolicModel model(built.circuit);
-  expect_batch_matches_scalar(model, 1, 12);
-  expect_batch_matches_scalar(model, 63, 13);
-}
-
-TEST(BatchStepping, ExplicitModelMatchesScalar) {
-  const auto m = fsm::random_connected_machine(24, 3, 4, 17);
-  model::ExplicitModel model(m, 0);
-  expect_batch_matches_scalar(model, 150, 18);
-}
-
-TEST(BatchStepping, MismatchedSpansThrow) {
-  const auto m = fsm::random_connected_machine(8, 2, 2, 5);
-  model::ExplicitModel model(m, 0);
-  std::vector<std::uint64_t> states(4, 0), inputs(3, 0);
-  std::vector<std::optional<std::uint64_t>> next(4);
-  EXPECT_THROW(model.step_batch(states, inputs, next), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -320,36 +247,80 @@ TEST(PackedReplay, MutantCoverageIdenticalToScalarAtAnyThreadCount) {
   }
 }
 
-/// Campaign result with wall-clock noise erased (timings and latency
-/// histograms); coverage_telemetry is deterministic and stays in.
-std::string semantic_fingerprint(core::CampaignResult result) {
-  result.timings = {};
-  result.bdd_stats.reset();
-  result.symbolic_stats.reset();
-  result.store_stats.reset();
-  result.metrics.reset();
-  return core::to_json(result);
+/// The reduced DLX control model: 21 latches, 8 PIs and an input
+/// constraint, so replays can hit invalid steps.
+testmodel::TestModelOptions tiny_model_options() {
+  testmodel::TestModelOptions opt;
+  opt.output_sync_latches = false;
+  opt.fetch_controller = false;
+  opt.aux_outputs = false;
+  opt.onehot_opclass = false;
+  opt.interlock_registers = false;
+  opt.reg_addr_bits = 1;
+  opt.reduced_isa = true;
+  return opt;
 }
 
-TEST(PackedReplay, CampaignReportByteIdenticalToScalarAt128Threads) {
-  core::CampaignOptions scalar;
-  scalar.model_options = tiny_model_options();
-  scalar.method = core::TestMethod::kTransitionTourSet;
-  scalar.threads = 1;
-  scalar.collect_coverage_telemetry = true;
-  const std::vector<dlx::PipelineBug> bugs{dlx::PipelineBug::kNoLoadUseStall};
-  const std::string reference =
-      semantic_fingerprint(core::run_campaign(scalar, bugs));
+TEST(PackedReplay, CircuitReplayStageMatchesCircuitReplayerPerSequence) {
+  const auto built = testmodel::build_dlx_control_model(tiny_model_options());
+  const sym::CircuitReplayer replayer(built.circuit);
+  const sym::PackedCircuitSim sim(built.circuit);
+  model::SymbolicModel model(built.circuit);
 
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                    std::size_t{8}}) {
-    core::CampaignOptions packed = scalar;
-    packed.packed = true;
-    packed.threads = threads;
-    EXPECT_EQ(semantic_fingerprint(core::run_campaign(packed, bugs)),
-              reference)
-        << "threads=" << threads;
+  // 130 valid random walks of 0..36 steps: two full 64-lane blocks and a
+  // 2-lane partial one.
+  constexpr std::size_t kSequences = 130;
+  constexpr std::size_t kMaxCycles = 30;
+  std::vector<std::vector<std::vector<bool>>> batch;
+  for (std::size_t i = 0; i < kSequences; ++i) {
+    batch.push_back(model.random_walk(i % 37, 100 + i).tour.sequences.at(0));
   }
+  // One invalid step: step 5 of sequence 70 (second block) takes an input
+  // the constraint rejects in the state the walk reached there.
+  auto& broken = batch[70];
+  ASSERT_GT(broken.size(), 5u);
+  std::uint64_t at = model.reset_state();
+  for (std::size_t c = 0; c < 5; ++c) {
+    at = *model.step(at, model::TestModel::pack_bits(broken[c]));
+  }
+  std::optional<std::uint64_t> rejected;
+  for (std::uint64_t k = 0; k < (std::uint64_t{1} << model.input_bits());
+       ++k) {
+    if (!model.step(at, k).has_value()) {
+      rejected = k;
+      break;
+    }
+  }
+  ASSERT_TRUE(rejected.has_value());
+  broken[5] = model.input_vector(*rejected);
+
+  constexpr std::size_t kFirst = 7;
+  std::vector<pipeline::RunMetrics> out(batch.size());
+  runtime::ThreadPool pool(2);
+  pipeline::CircuitReplayStage::run_batch(sim, batch, kFirst, kMaxCycles, out,
+                                          pool, pipeline::CancellationToken{},
+                                          obs::null_sink());
+  std::size_t invalid = 0, cut = 0;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const auto trace = replayer.replay(batch[i], kMaxCycles);
+    EXPECT_EQ(out[i].sequence, kFirst + i) << "sequence " << i;
+    EXPECT_EQ(out[i].impl_cycles, trace.steps) << "sequence " << i;
+    EXPECT_EQ(out[i].checkpoints, trace.steps) << "sequence " << i;
+    EXPECT_EQ(out[i].passed, trace.valid) << "sequence " << i;
+    EXPECT_EQ(out[i].budget_exhausted, trace.truncated) << "sequence " << i;
+    invalid += trace.valid ? 0 : 1;
+    cut += trace.truncated ? 1 : 0;
+  }
+  EXPECT_EQ(invalid, 1u);
+  EXPECT_GE(cut, 1u);
+
+  // A step narrower than the circuit's primary inputs is rejected, as
+  // CircuitReplayer::replay rejects it.
+  batch[3].back().pop_back();
+  EXPECT_THROW(pipeline::CircuitReplayStage::run_batch(
+                   sim, batch, kFirst, kMaxCycles, out, pool,
+                   pipeline::CancellationToken{}, obs::null_sink()),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 // End-to-end campaign tests over the BLIF frontend: run_campaign on a
-// bundled netlist (explicit and symbolic backends), determinism across
-// thread counts and the packed-replay toggle, content-addressed store
-// reuse (warm hit on re-run, miss after a netlist edit, hit after a pure
-// rename), VCD export covering every committed sequence, and the
-// external-circuit restrictions (no DLX bug injection).
+// bundled netlist (explicit and symbolic backends), report-hash goldens,
+// determinism across thread counts, the packed-key width limit, replay
+// latency accounting, content-addressed store reuse (warm hit on re-run,
+// miss after a netlist edit, hit after a pure rename), VCD export covering
+// every committed sequence, and the external-circuit restrictions (no DLX
+// bug injection).
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -17,6 +18,8 @@
 
 #include "core/campaign.hpp"
 #include "core/report.hpp"
+#include "obs/metrics.hpp"
+#include "store/fingerprint.hpp"
 
 namespace simcov::core {
 namespace {
@@ -110,12 +113,72 @@ TEST(BlifCampaignTest, ReportIsIdenticalAcrossThreadCounts) {
   EXPECT_EQ(semantic_fingerprint(run_campaign(options, {})), reference);
 }
 
-TEST(BlifCampaignTest, PackedReplayIsVerdictIdenticalToScalar) {
-  auto options = blif_options(bundled("shift4.blif"));
-  options.packed = false;
-  const std::string scalar = semantic_fingerprint(run_campaign(options, {}));
-  options.packed = true;
-  EXPECT_EQ(semantic_fingerprint(run_campaign(options, {})), scalar);
+std::string report_hash(const CampaignResult& result) {
+  store::Hasher h;
+  h.str(semantic_fingerprint(result));
+  return h.digest().hex();
+}
+
+/// The biased-walk spec bench_blif_campaign runs with `--generator biased`.
+model::GeneratorSpec biased_spec() {
+  model::GeneratorSpec spec;
+  spec.kind = GeneratorKind::kBiasedRandom;
+  spec.max_walk_steps = 16384;
+  return spec;
+}
+
+// Semantic report hashes (timings, store stats and metrics erased; coverage
+// telemetry kept) of every bundled netlist under the tour and biased
+// generators, pinned before the campaign's scalar circuit replay and batch
+// telemetry replay were deleted.
+struct BlifGolden {
+  const char* circuit;
+  const char* tour_hash;
+  const char* biased_hash;
+};
+constexpr BlifGolden kBlifGoldens[] = {
+    {"count3.blif", "8770d672646ae0f34a5b8831f0bbc2d6",
+     "b8142bb280bd8454b2eb509708dc482f"},
+    {"tlc.blif", "d45a1e7094933743a3922f4461853251",
+     "eb50530f098e91eeb48d66aada719fe5"},
+    {"shift4.blif", "80e617eb5402a1ad1739e389ab28500a",
+     "925d37601df8cc98656ff8fe728f518d"},
+    {"updown2.blif", "911ae462c148d5d5ef6b62c79d3e0dd3",
+     "2f290d4d7ee4880c653d03fccee32384"},
+};
+
+TEST(BlifCampaignTest, ReportHashesMatchGoldenForEveryBundledCircuit) {
+  for (const BlifGolden& golden : kBlifGoldens) {
+    auto options = blif_options(bundled(golden.circuit));
+    EXPECT_EQ(report_hash(run_campaign(options, {})), golden.tour_hash)
+        << golden.circuit << " (tour)";
+    options.generator = biased_spec();
+    EXPECT_EQ(report_hash(run_campaign(options, {})), golden.biased_hash)
+        << golden.circuit << " (biased)";
+  }
+}
+
+TEST(BlifCampaignTest, SimulateLatenciesSumToAtMostTheSimulateSpan) {
+  // 64 sequences share each replay block; every one records an equal share
+  // of the block's time, so the per-item latencies add up to the block
+  // time instead of overstating the stage up to 64-fold.
+  obs::MetricsRegistry registry;
+  auto options = blif_options(bundled("count3.blif"));
+  options.generator = biased_spec();
+  options.metrics = &registry;
+  const auto result = run_campaign(options, {});
+  ASSERT_GT(result.sequences, 64u);
+  ASSERT_TRUE(result.metrics.has_value());
+  const obs::HistogramSummary* clean_runs = nullptr;
+  for (const auto& h : result.metrics->histograms) {
+    if (h.stage == obs::Stage::kSimulate && h.name == "clean_run.latency_ns") {
+      clean_runs = &h.value;
+    }
+  }
+  ASSERT_NE(clean_runs, nullptr);
+  EXPECT_EQ(clean_runs->count, result.sequences);
+  EXPECT_LE(clean_runs->sum,
+            obs::span_ns(*result.metrics, obs::Stage::kSimulate));
 }
 
 TEST(BlifCampaignTest, StoreHitsWarmOnRerunAndMissesAfterNetlistEdit) {
@@ -197,6 +260,37 @@ TEST(BlifCampaignTest, RejectsBugInjectionForExternalCircuits) {
   EXPECT_THROW((void)run_campaign(blif_options(bundled("count3.blif")),
                                   one_bug),
                std::invalid_argument);
+}
+
+TEST(BlifCampaignTest, SixtyFourLatchNetlistFailsAtModelBuildOnBothBackends) {
+  // 64 latches, one past the 63-bit packed-key limit. Every latch holds
+  // its reset value, so the explicit extraction finishes (one state) and
+  // the limit, not the state budget, is what rejects the netlist.
+  TempDir tmp;
+  const std::string path = tmp.str("wide64.blif");
+  {
+    std::ofstream out(path);
+    out << ".model wide64\n.inputs a\n.outputs q63\n";
+    for (int j = 0; j < 64; ++j) {
+      out << ".latch n" << j << " q" << j << " 0\n";
+      out << ".names a q" << j << " n" << j << "\n11 1\n";
+    }
+    out << ".end\n";
+  }
+  for (const BackendChoice backend :
+       {BackendChoice::kExplicit, BackendChoice::kSymbolic}) {
+    obs::MetricsRegistry registry;
+    auto options = blif_options(path);
+    options.backend = backend;
+    options.sink = &registry;
+    EXPECT_THROW((void)run_campaign(options, {}), std::invalid_argument)
+        << "backend " << static_cast<int>(backend);
+    // Nothing past the model build ran: no sequence was generated or
+    // replayed.
+    for (const auto& h : registry.summary().histograms) {
+      EXPECT_EQ(h.stage, obs::Stage::kModelBuild) << h.name;
+    }
+  }
 }
 
 TEST(BlifCampaignTest, MissingNetlistFileFailsCleanly) {

@@ -384,52 +384,6 @@ TEST(CoverageTelemetryCollector, ReplayMatchesTheModelsOwnTourAccounting) {
       << "the collector leaves exposure latency to the pipeline";
 }
 
-TEST(CoverageTelemetryCollector, BatchCommitIsByteIdenticalToSequential) {
-  const auto m = fsm::random_connected_machine(24, 3, 4, 17);
-  model::ExplicitModel tour_model(m, 0);
-  auto stream = tour_model.tour_source();
-  std::vector<std::vector<std::vector<bool>>> sequences;
-  while (auto seq = stream->next_sequence()) sequences.push_back(*seq);
-  ASSERT_FALSE(sequences.empty());
-
-  model::ExplicitModel scalar_model(m, 0);
-  obs::CoverageTelemetryCollector scalar(scalar_model, 64);
-  for (const auto& seq : sequences) scalar.commit_sequence(seq);
-
-  // The batch path replays lane-parallel but folds in batch order; the
-  // telemetry — convergence points included — must not move. Mixed batch
-  // sizes cover full, partial and single-sequence blocks.
-  model::ExplicitModel batch_model(m, 0);
-  obs::CoverageTelemetryCollector batch(batch_model, 64);
-  std::size_t at = 0;
-  for (const std::size_t chunk : {std::size_t{1}, std::size_t{3},
-                                  std::size_t{128}}) {
-    if (at >= sequences.size()) break;
-    const std::size_t len = std::min(chunk, sequences.size() - at);
-    batch.commit_batch(std::span(sequences).subspan(at, len));
-    at += len;
-  }
-  if (at < sequences.size()) {
-    batch.commit_batch(std::span(sequences).subspan(at));
-  }
-
-  EXPECT_EQ(batch.committed(), scalar.committed());
-  const auto a = scalar.snapshot();
-  const auto b = batch.snapshot();
-  EXPECT_EQ(b.convergence, a.convergence);
-  EXPECT_EQ(b.distinct_transitions, a.distinct_transitions);
-  EXPECT_EQ(b.max_transition_hits, a.max_transition_hits);
-  EXPECT_EQ(b.transition_hits, a.transition_hits);
-}
-
-TEST(CoverageTelemetryCollector, BatchCommitRejectsInvalidInputs) {
-  const auto m = fsm::random_connected_machine(8, 3, 2, 5);  // 3 inputs
-  model::ExplicitModel model(m, 0);
-  obs::CoverageTelemetryCollector collector(model);
-  const std::vector<std::vector<std::vector<bool>>> bad{{{true, true}}};
-  EXPECT_THROW(collector.commit_batch(bad), std::domain_error);
-}
-
 TEST(CoverageTelemetryCollector, InvalidInputInACommittedSequenceThrows) {
   const auto m = fsm::random_connected_machine(8, 3, 2, 5);  // 3 inputs
   model::ExplicitModel model(m, 0);

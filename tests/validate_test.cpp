@@ -128,6 +128,80 @@ TEST(Concretize, FetchControllerModelRejected) {
                std::invalid_argument);
 }
 
+/// Decodes the encoding of every ControlInput the model can carry: every
+/// allowed class, every register triple, both branch outcomes and, with a
+/// fetch controller, both instr_valid values.
+void expect_decode_inverts_encode(const testmodel::TestModelOptions& opt) {
+  const auto model = testmodel::build_dlx_control_model(opt);
+  const testmodel::ControlInputCodec codec(model);
+  std::vector<OpClass> classes{OpClass::kNop, OpClass::kAlu, OpClass::kLoad,
+                               OpClass::kStore, OpClass::kBranch};
+  if (!opt.reduced_isa) {
+    classes.insert(classes.end(),
+                   {OpClass::kHalt, OpClass::kAluImm, OpClass::kJump,
+                    OpClass::kJumpLink, OpClass::kJumpReg,
+                    OpClass::kJumpLinkReg});
+  }
+  const unsigned regs = 1u << opt.reg_addr_bits;
+  std::size_t checked = 0;
+  for (const OpClass cls : classes) {
+    for (unsigned rs1 = 0; rs1 < regs; ++rs1) {
+      for (unsigned rs2 = 0; rs2 < regs; ++rs2) {
+        for (unsigned rd = 0; rd < regs; ++rd) {
+          for (const bool outcome : {false, true}) {
+            for (const bool valid : {true, false}) {
+              if (!valid && !opt.fetch_controller) continue;
+              const ControlInput in{cls, rs1, rs2, rd, outcome, valid};
+              std::vector<bool> bits(model.circuit.primary_inputs.size());
+              for (std::size_t p = 0; p < bits.size(); ++p) {
+                bits[p] = codec.pi_value(p, in);
+              }
+              const ControlInput out = decode_control_input(model, bits);
+              ASSERT_EQ(out.cls, in.cls);
+              ASSERT_EQ(out.rs1, in.rs1);
+              ASSERT_EQ(out.rs2, in.rs2);
+              ASSERT_EQ(out.rd, in.rd);
+              ASSERT_EQ(out.branch_outcome, in.branch_outcome);
+              ASSERT_EQ(out.instr_valid, in.instr_valid);
+              ++checked;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, classes.size() * regs * regs * regs * 2 *
+                         (opt.fetch_controller ? 2 : 1));
+}
+
+TEST(ControlInputCodec, DecodeInvertsEncodeOnTheCampaignModel) {
+  testmodel::TestModelOptions opt = tour_model_options();
+  opt.reg_addr_bits = 1;  // the bench and perfbench campaign model
+  expect_decode_inverts_encode(opt);
+}
+
+TEST(ControlInputCodec, DecodeInvertsEncodeOnAOneHotFetchControllerModel) {
+  testmodel::TestModelOptions opt;  // one-hot classes, fetch controller
+  opt.reg_addr_bits = 2;
+  expect_decode_inverts_encode(opt);
+}
+
+TEST(ControlInputCodec, UnmappedPrimaryInputNameThrows) {
+  auto model = testmodel::build_dlx_control_model(tour_model_options());
+  model.circuit.primary_inputs.push_back(
+      model.circuit.net.add_input("mystery"));
+  EXPECT_THROW((void)testmodel::ControlInputCodec(model), std::logic_error);
+  const std::vector<bool> bits(model.circuit.primary_inputs.size());
+  EXPECT_THROW((void)decode_control_input(model, bits), std::logic_error);
+}
+
+TEST(Concretize, DecodeRejectsAWidthMismatch) {
+  const auto model = testmodel::build_dlx_control_model(tour_model_options());
+  const std::vector<bool> bits(model.circuit.primary_inputs.size() + 1);
+  EXPECT_THROW((void)decode_control_input(model, bits),
+               std::invalid_argument);
+}
+
 TEST(Concretize, InvalidTourInputThrows) {
   const auto model = testmodel::build_dlx_control_model(tour_model_options());
   EXPECT_THROW((void)concretize_tour(model, {ci(OpClass::kNop, 3, 3, 3)}),
